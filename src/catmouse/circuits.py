@@ -184,7 +184,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError(lineno, "duplicate inputs declaration")
             if gates or output is not None:
                 raise CircuitSyntaxError(lineno, "inputs must come first")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not re.fullmatch(r"[0-9]+", tokens[1]):
                 raise CircuitSyntaxError(lineno, "expected: inputs <count>")
             num_inputs = int(tokens[1])
             if num_inputs < 1:
@@ -239,23 +239,21 @@ def validate_layers(circuit: Circuit) -> dict[str, int]:
     and :class:`UnreachableGateError` if some declared gate is not in the
     output's cone.
     """
-    layers: dict[str, int] = {}
-
-    def layer(ref: str) -> int:
-        if ref in layers:
-            return layers[ref]
-        if is_input_ref(ref):
-            layers[ref] = 0
-            return 0
-        gate = circuit.gate(ref)
-        left = layer(gate.left)
-        right = layer(gate.right)
-        if left != right:
+    # Gates are declared children first, so one backward pass finds the
+    # output's cone and one forward pass lays it out.
+    cone = {circuit.output}
+    for gate in reversed(circuit.gates):
+        if gate.id in cone:
+            cone.update((gate.left, gate.right))
+    inputs = (input_ref(i) for i in range(circuit.num_inputs))
+    layers = {ref: 0 for ref in inputs if ref in cone}
+    for gate in circuit.gates:
+        if gate.id not in cone:
+            continue
+        left = layers[gate.left]
+        if left != layers[gate.right]:
             raise NotSynchronousError(gate.id)
-        layers[ref] = left + 1
-        return layers[ref]
-
-    layer(circuit.output)
+        layers[gate.id] = left + 1
     for gate in circuit.gates:
         if gate.id not in layers:
             raise UnreachableGateError(gate.id)

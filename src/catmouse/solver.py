@@ -6,11 +6,13 @@ players occupy the same node (even the hole), Mouse wins the moment it stands
 on the hole alone, and a repeated (cat, mouse, player-to-move) situation is a
 draw.  A player whose node has no outgoing edge loses.
 
-``solve`` runs retrograde analysis over all (cat, mouse, turn) states:
-terminal states seed a backward breadth-first sweep in which a state is won
-for the mover as soon as one successor is won for them, and lost once every
-successor is lost (tracked with successor counters; here the counting is done
-with sparse matrix products over the whole state space at once).  States never
+``solve`` runs retrograde analysis over all (cat, mouse, turn) states, the
+classical attractor computation: terminal and stuck states are decided first,
+and each ply then looks only at the predecessors of the states the previous
+ply decided.  A predecessor is won for its mover as soon as one successor is
+won for them; each successor won for the opponent lowers a per-state counter
+of remaining options, and a predecessor whose counter reaches 0 is lost.  All
+work is O(states + state edges), held in flat numpy arrays.  States never
 decided are draws, matching the classical equivalence with the
 repetition-draw rule.  The recorded distance is plies-to-termination under
 optimal play: winners minimize it, losers maximize it.
@@ -28,7 +30,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 CAT = "Cat"
 MOUSE = "Mouse"
@@ -232,81 +233,163 @@ class Solution:
         return choose
 
 
+# Bytes per (cat, mouse, turn) state: value (int8), distance (int32) and
+# count of options left (int16, as an out-degree is below n).
+_BYTES_PER_STATE = 1 + 4 + 2
+# solve refuses a board whose state tables would exceed this (about 12,000
+# nodes) with TooLargeError, instead of running the host out of memory.  It
+# also keeps distances (below 2n^2) within int32 and n within int16.
+_MAX_TABLE_BYTES = 2 * 2**30
+# Predecessors gathered at once; bounds the buffers of a ply.
+_SLICE = 1 << 16
+# Values while solving, relative to the player to move.
+_WON, _LOST = 1, 2
+
+
 def solve(instance: GameInstance) -> Solution:
     """Retrograde analysis of the full (cat, mouse, turn) state space."""
-    graph = instance.graph
-    ids = tuple(graph.nodes)
-    index = {v: i for i, v in enumerate(ids)}
+    ids = tuple(instance.graph.nodes)
     n = len(ids)
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in ids:
-        ui = index[u]
-        for v in graph.neighbors_out(u):
-            rows.append(ui)
-            cols.append(index[v])
-    adj = csr_matrix(
-        (np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n)
-    )
-    out_deg = np.diff(adj.indptr)
-    hole = index[instance.hole]
+    need = 2 * n * n * _BYTES_PER_STATE
+    if need > _MAX_TABLE_BYTES:
+        raise TooLargeError(
+            f"{n} nodes need {need / 2**30:.1f} GiB of state tables; "
+            f"the solver allows {_MAX_TABLE_BYTES / 2**30:.0f} GiB"
+        )
+    arena = _Arena(instance.graph, ids)
+    hole = ids.index(instance.hole)
 
-    val_c = np.zeros((n, n), dtype=np.int8)
-    val_m = np.zeros((n, n), dtype=np.int8)
-    dist_c = np.full((n, n), -1, dtype=np.int32)
-    dist_m = np.full((n, n), -1, dtype=np.int32)
-
-    diag = np.eye(n, dtype=bool)
-    at_hole = np.zeros((n, n), dtype=bool)
-    at_hole[:, hole] = True
-    at_hole &= ~diag
-    for val, dist in ((val_c, dist_c), (val_m, dist_m)):
-        val[diag] = _CATWIN
-        val[at_hole] = _MOUSEWIN
-        dist[diag | at_hole] = 0
+    # State (t, a, b) sits at t*n^2 + a*n + b: block 0 is Cat to move stored
+    # as [mouse, cat], block 1 Mouse to move stored as [cat, mouse].  Either
+    # way b is the mover's node and a the other player's, so the moves of
+    # (t, a, b) lead to (1 - t, b', a) for b' out of b, and its predecessors
+    # are (1 - t, b, x) for x into a.
+    vals = np.zeros((2, n, n), dtype=np.int8)
+    dists = np.empty((2, n, n), dtype=np.int32)
+    left = np.empty((2, n, n), dtype=np.int16)
+    left[...] = arena.out_deg
+    diag = np.arange(n)
+    others = diag != hole
+    vals[0, diag, diag] = _WON
+    vals[1, diag, diag] = _LOST
+    vals[0, hole, others] = _LOST
+    vals[1, others, hole] = _WON
     # A player to move with no way out loses on the spot.
-    cat_stuck = (out_deg == 0)[:, None] & (val_c == 0)
-    val_c[cat_stuck] = _MOUSEWIN
-    dist_c[cat_stuck] = 0
-    mouse_stuck = (out_deg == 0)[None, :] & (val_m == 0)
-    val_m[mouse_stuck] = _CATWIN
-    dist_m[mouse_stuck] = 0
+    vals[(vals == 0) & (arena.out_deg == 0)] = _LOST
 
-    cw_m = (val_m == _CATWIN).astype(np.float32)
-    mw_m = (val_m == _MOUSEWIN).astype(np.float32)
-    cw_c = (val_c == _CATWIN).astype(np.float32)
-    mw_c = (val_c == _MOUSEWIN).astype(np.float32)
+    val, dist, left = vals.reshape(-1), dists.reshape(-1), left.reshape(-1)
+    lost = np.flatnonzero(val == _LOST)
+    frontier = np.concatenate((lost, np.flatnonzero(val == _WON)))
+    n_lost = lost.size
+    dist[frontier] = 0
+    ply = 0
+    while frontier.size:
+        ply += 1
+        frontier, n_lost = _ply(arena, frontier, n_lost, val, left, dist)
+        dist[frontier] = ply
 
-    plies = 0
-    limit = 2 * n * n + 4
-    while True:
-        plies += 1
-        if plies > limit:
-            raise SolverError("attractor failed to converge")
-        undecided_c = val_c == 0
-        undecided_m = val_m == 0
-        # Cat to move: wins by reaching a Cat-winning mouse-turn state, loses
-        # once every move lands in a Mouse-winning one.
-        new_cw_c = ((adj @ cw_m) > 0) & undecided_c
-        new_mw_c = ((adj @ (1.0 - mw_m)) == 0) & undecided_c
-        # Mouse to move: symmetric, walking the mouse coordinate.
-        new_mw_m = ((adj @ mw_c.T).T > 0) & undecided_m
-        new_cw_m = ((adj @ (1.0 - cw_c).T).T == 0) & undecided_m
-        if not (new_cw_c.any() or new_mw_c.any()
-                or new_cw_m.any() or new_mw_m.any()):
-            break
-        val_c[new_cw_c] = _CATWIN
-        val_c[new_mw_c] = _MOUSEWIN
-        val_m[new_cw_m] = _CATWIN
-        val_m[new_mw_m] = _MOUSEWIN
-        dist_c[new_cw_c | new_mw_c] = plies
-        dist_m[new_cw_m | new_mw_m] = plies
-        cw_c[new_cw_c] = 1.0
-        mw_c[new_mw_c] = 1.0
-        cw_m[new_cw_m] = 1.0
-        mw_m[new_mw_m] = 1.0
+    # The working values were relative to the mover, who is the Cat in
+    # block 0 and the Mouse in block 1.  Draws get distance -1 over the
+    # stamps left on them.
+    np.subtract(_CATWIN + _MOUSEWIN, vals[1], out=vals[1], where=vals[1] != 0)
+    dist[val == 0] = -1
+    return Solution(instance, ids, vals[0].T, vals[1], dists[0].T, dists[1])
 
-    return Solution(instance, ids, val_c, val_m, dist_c, dist_m)
+
+def _ply(arena, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
+    """Decide every state whose fate follows from the frontier.
+
+    ``frontier[:n_lost]`` were lost for their mover, the rest won.  Returns
+    the states decided now, those lost for their mover first, and how many
+    those are.  Repeats of a state among the predecessors are grouped with
+    ``stamp``, which only touches undecided states; solve shares it with
+    the distances, set on the states when they are decided.
+    """
+    won_parts: list[np.ndarray] = []
+    lost_parts: list[np.ndarray] = []
+    for pred, cut in arena.predecessors(frontier, n_lost):
+        # A loss for the mover is a win for the mover of each predecessor.
+        won = pred[:cut]
+        won = won[val[won] == 0]
+        if won.size:
+            val[won] = _WON
+            order = arena.order[:won.size]
+            stamp[won] = order
+            won_parts.append(won[stamp[won] == order])
+        # A win for the mover takes one option from each predecessor; one
+        # left with none is lost for its mover.
+        hit = pred[cut:]
+        hit = hit[val[hit] == 0]
+        if hit.size:
+            stamp[hit] = arena.order[:hit.size]
+            times = np.bincount(stamp[hit], minlength=hit.size)
+            kept = times.nonzero()[0]
+            hit = hit[kept]
+            rest = left[hit] - times[kept]
+            left[hit] = rest
+            hit = hit[rest == 0]
+            if hit.size:
+                val[hit] = _LOST
+                lost_parts.append(hit)
+    n_lost = sum(part.size for part in lost_parts)
+    parts = lost_parts + won_parts
+    return (np.concatenate(parts) if parts else frontier[:0]), n_lost
+
+
+class _Arena:
+    """The board's distinct edges as reverse CSR over the 2n state rows.
+
+    Row r = t*n + a holds the states s = (t, a, b) = r*n + b.  Their
+    predecessors (1 - t, b, x) are ``shift[r] + s*n + x`` for each
+    in-neighbour ``x`` of a, ``src[row_end[r] - row_deg[r]:row_end[r]]``.
+    Index arrays are intp, since numpy converts any other index type on
+    every gather.
+    """
+
+    def __init__(self, graph, ids: tuple[str, ...]):
+        n = len(ids)
+        index = {v: i for i, v in enumerate(ids)}
+        codes = np.array(sorted({index[v] * n + ui for ui, u in enumerate(ids)
+                                 for v in graph.neighbors_out(u)}), dtype=np.intp)
+        self.n = n
+        self.src = codes % n
+        self.out_deg = np.bincount(self.src, minlength=n)
+        in_deg = np.bincount(codes // n, minlength=n)
+        self.row_deg = np.concatenate((in_deg, in_deg))
+        ends = np.cumsum(in_deg)
+        self.row_end = np.concatenate((ends, ends))
+        self.shift = np.arange(0, -2 * n, -1, dtype=np.intp) * n * n
+        self.shift[:n] += n * n
+        # 0, 1, 2, ...: as long as the largest slice of predecessors, which
+        # holds at most _SLICE of them or those of one state (fewer than n).
+        longest = min(max(_SLICE, n), 2 * n * len(codes))
+        self.order = np.arange(longest + 1, dtype=np.int32)
+
+    def predecessors(self, states: np.ndarray, cut: int):
+        """Yield (predecessors, k) slices over ``states``, repeats kept.
+
+        The first k predecessors of a slice come from ``states[:cut]``.
+        """
+        rows = states // self.n
+        ends = self.row_deg[rows].cumsum()
+        total = int(ends[-1])
+        split = int(ends[cut - 1]) if cut else 0
+        lo = done = 0
+        while lo < states.size:
+            hi = states.size
+            if total - done > _SLICE:
+                hi = max(int(np.searchsorted(ends, done + _SLICE, "right")), lo + 1)
+            upto = int(ends[hi - 1])
+            r = rows[lo:hi]
+            counts = self.row_deg[r]
+            offset = self.row_end[r] - ends[lo:hi]
+            if done:
+                offset += done
+            offset = offset.repeat(counts)
+            offset += self.order[:upto - done]
+            base = self.shift[r] + states[lo:hi] * self.n
+            yield base.repeat(counts) + self.src[offset], min(max(split - done, 0), upto - done)
+            lo, done = hi, upto
 
 
 def outcome(instance: GameInstance) -> Outcome:

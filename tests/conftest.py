@@ -1,4 +1,4 @@
-"""Shared helpers for building small random arenas in tests."""
+"""Shared helpers for building test inputs: random arenas, deep circuits."""
 
 import random
 
@@ -33,3 +33,11 @@ def random_placement(graph, seed):
     mouse = rng.choice([v for v in nodes if v != cat])
     hole = rng.choice([v for v in nodes if v != mouse])
     return cat, mouse, hole
+
+
+def and_chain_text(depth):
+    """A circuit of ``depth`` AND gates, each fed twice by the one below."""
+    lines = ["inputs 2", "gate g0 AND i0 i1"]
+    lines += [f"gate g{k} AND g{k - 1} g{k - 1}" for k in range(1, depth)]
+    lines.append(f"output g{depth - 1}")
+    return "\n".join(lines) + "\n"

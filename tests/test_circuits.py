@@ -26,6 +26,8 @@ from catmouse.circuits import (
     validate_layers,
 )
 
+from conftest import and_chain_text
+
 SMALLEST = "inputs 2\ngate g0 AND i0 i1\noutput g0\n"
 
 THREE_GATE = """\
@@ -97,6 +99,12 @@ class TestParse:
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("inputs 2\ngate i5 AND i0 i1\noutput i5\n")
 
+    @pytest.mark.parametrize("count", ["²", "٣", "+2", "2.0"])
+    def test_input_count_must_be_ascii_digits(self, count):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(f"inputs {count}\ngate a AND i0 i1\noutput a\n")
+        assert err.value.line == 1
+
     def test_misordered_sections_rejected(self):
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("gate a AND i0 i1\ninputs 2\noutput a\n")
@@ -129,6 +137,19 @@ class TestLayers:
         c = parse_circuit("inputs 4\ngate g0 OR i0 i3\noutput g0\n")
         layers = validate_layers(c)
         assert "i1" not in layers and "i2" not in layers
+
+    def test_deep_chain_without_recursion(self):
+        c = parse_circuit(and_chain_text(3000))
+        assert validate_layers(c)[c.output] == 3000
+
+    def test_unsynchronous_gate_outside_the_cone_is_unreachable(self):
+        c = parse_circuit(
+            "inputs 3\ngate a AND i0 i1\ngate b AND a i2\n"
+            "gate o OR i0 i2\noutput o\n"
+        )
+        with pytest.raises(UnreachableGateError) as err:
+            validate_layers(c)
+        assert err.value.gate_id == "a"
 
 
 class TestEvaluate:

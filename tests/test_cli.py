@@ -4,6 +4,8 @@ import pytest
 
 from catmouse.cli import main
 
+from conftest import and_chain_text
+
 ONE_AND = "inputs 2\ngate g0 AND i0 i1\noutput g0\n"
 ONE_OR = "inputs 2\ngate g0 OR i0 i1\noutput g0\n"
 
@@ -166,3 +168,43 @@ class TestPlay:
         monkeypatch.setattr("sys.stdin", io.StringIO("g0.M.2\n"))
         assert main(["play", and_file, "11", "--as", "mouse"]) == 2
         assert "input ended" in capsys.readouterr().err
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestFailClean:
+    def test_non_ascii_input_count_is_a_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "sup.circuit"
+        path.write_text("inputs ²\ngate g0 AND i0 i1\noutput g0\n")
+        assert main(["eval", str(path), "11"]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--layers", "0"), ("--width", "0"), ("--inputs", "1"), ("--n", "-1"),
+    ])
+    def test_fuzz_rejects_out_of_range_sizes(self, flag, value, capsys):
+        assert main(["fuzz", "--n", "1", flag, value]) == 2
+        assert_one_line_error(capsys)
+
+    def test_board_too_large_to_solve(self, tmp_path, capsys):
+        fillers = [f"f{k}" for k in range(50_000 - 4)]
+        lines = ["game directed", "node c cat-start", "node h hole",
+                 "node d dead-end", "node m dead-end"]
+        lines += [f"node {f} dead-end" for f in fillers]
+        lines += ["edge c m opening", "special c=c m=m h=h d=d", "layer c 1"]
+        lines += [f"layer {v} 0" for v in ["h", "d", "m"] + fillers]
+        path = tmp_path / "huge.graph"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["solve", str(path)]) == 2
+        assert_one_line_error(capsys)
+
+    def test_deep_chain_evaluates(self, tmp_path, capsys):
+        path = tmp_path / "chain.circuit"
+        path.write_text(and_chain_text(3000))
+        assert main(["eval", str(path), "11"]) == 0
+        assert capsys.readouterr().out == "1\n"

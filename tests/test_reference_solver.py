@@ -1,0 +1,83 @@
+"""The frontier solver against the sparse-matrix solver it replaced.
+
+Both must produce the same value and distance tables, state for state, on
+ladder boards and on rough random arenas.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from catmouse.circuits import generate_random
+from catmouse import solver
+from catmouse.reduction import build_directed, build_undirected
+from catmouse.solver import CAT, MOUSE, GameInstance, Graph, solve
+
+from conftest import random_placement
+from reference_solver import solve as reference_solve
+
+
+def assert_same_tables(instance):
+    got, want = solve(instance), reference_solve(instance)
+    for turn in (CAT, MOUSE):
+        for name, table, expected in (("value", got._val[turn], want._val[turn]),
+                                      ("dist", got._dist[turn], want._dist[turn])):
+            assert table.dtype == expected.dtype, (turn, name)
+            assert np.array_equal(table, expected), (turn, name)
+
+
+@pytest.mark.parametrize("bit", ["1", "0"])
+@pytest.mark.parametrize("builder", [build_directed, build_undirected])
+@pytest.mark.parametrize("layers,width", [(3, 4), (4, 8), (5, 16)])
+def test_ladder_boards(layers, width, builder, bit):
+    circuit = generate_random(layers, width, width, 0.5, seed=1)
+    graph, _cmap = builder(circuit, bit * circuit.num_inputs)
+    assert_same_tables(GameInstance.from_game_graph(graph))
+
+
+@pytest.mark.parametrize("builder", [build_directed, build_undirected])
+def test_small_slices(builder, monkeypatch):
+    monkeypatch.setattr(solver, "_SLICE", 5)
+    circuit = generate_random(3, 4, 4, 0.5, seed=1)
+    for bits in ("1111", "0000", "1010"):
+        graph, _cmap = builder(circuit, bits)
+        assert_same_tables(GameInstance.from_game_graph(graph))
+
+
+def rough_arena(seed):
+    """An arena with self-loops, repeated edges, sinks and isolated nodes."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    nodes = tuple(f"v{i}" for i in range(n))
+    isolated = set(rng.sample(nodes, rng.randint(0, n // 4)))
+    linked = [v for v in nodes if v not in isolated]
+    sources = [v for v in linked if rng.random() < 0.8] or linked[:1]
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        roll = rng.random()
+        if edges and roll < 0.15:
+            edges.append(rng.choice(edges))
+        elif roll < 0.25:
+            v = rng.choice(sources)
+            edges.append((v, v))
+        else:
+            edges.append((rng.choice(sources), rng.choice(linked)))
+    return Graph(directed=seed % 2 == 0, nodes=nodes, edges=tuple(edges))
+
+
+def test_rough_random_arenas():
+    seen = {"directed": 0, "undirected": 0, "self-loop": 0, "repeat": 0,
+            "sink": 0, "isolated": 0}
+    for seed in range(300):
+        graph = rough_arena(seed)
+        touched = {v for edge in graph.edges for v in edge}
+        seen["directed" if graph.directed else "undirected"] += 1
+        seen["self-loop"] += any(a == b for a, b in graph.edges)
+        seen["repeat"] += len(set(graph.edges)) < len(graph.edges)
+        seen["sink"] += any(v in touched and not graph.neighbors_out(v)
+                            for v in graph.nodes)
+        seen["isolated"] += len(touched) < len(graph.nodes)
+        cat, mouse, hole = random_placement(graph, seed)
+        assert_same_tables(GameInstance(graph, cat, mouse, hole))
+    assert min(seen.values()) >= 30, seen

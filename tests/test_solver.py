@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -243,6 +244,21 @@ class TestAgainstOracle:
         inst = GameInstance(g, "n0", "n1", "n10")
         with pytest.raises(TooLargeError):
             minimax_oracle(inst)
+
+
+class TestMemoryBudget:
+    def test_oversized_board_is_refused_before_allocating(self):
+        nodes = tuple(f"n{i}" for i in range(50_000))
+        inst = GameInstance(Graph(directed=True, nodes=nodes, edges=()),
+                            "n0", "n1", "n2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError):
+                solve(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestPlayMatch:
