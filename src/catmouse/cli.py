@@ -14,6 +14,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -25,29 +26,24 @@ from .circuits import (
     serialize_circuit,
 )
 from .reduction import (
+    BUILDERS,
+    MODES,
     GraphError,
-    build_directed,
-    build_undirected,
     export_graph,
     import_graph,
 )
 from .solver import (
     CAT,
-    CAT_TERMINAL,
     MOUSE,
-    OPEN,
     GameInstance,
     GameState,
     Outcome,
     SolverError,
-    classify,
     play_match,
     solve,
 )
 from .strategies import StrategyError
 from .verify import fuzz_equivalence, verify_equivalence
-
-_BUILDERS = {"directed": build_directed, "undirected": build_undirected}
 
 
 class UsageError(Exception):
@@ -58,24 +54,16 @@ def _read_circuit(path: str):
     return parse_circuit(Path(path).read_text())
 
 
-def _parse_bits(circuit, bits: str) -> str:
-    if len(bits) != circuit.num_inputs or set(bits) - {"0", "1"}:
-        raise UsageError(
-            f"need {circuit.num_inputs} bits of 0/1, got {bits!r}"
-        )
-    return bits
-
-
 def _cmd_eval(args) -> int:
     circuit = _read_circuit(args.circuit)
-    bit, _values = evaluate(circuit, _parse_bits(circuit, args.bits))
+    bit, _values = evaluate(circuit, args.bits)
     print(bit)
     return 0
 
 
 def _cmd_reduce(args) -> int:
     circuit = _read_circuit(args.circuit)
-    graph, cmap = _BUILDERS[args.mode](circuit, _parse_bits(circuit, args.bits))
+    graph, cmap = BUILDERS[args.mode](circuit, args.bits)
     sys.stdout.write(export_graph(graph, cmap, fmt=args.format))
     return 0
 
@@ -107,9 +95,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     circuit = _read_circuit(args.circuit)
-    bits = _parse_bits(circuit, args.bits)
-    modes = ("directed", "undirected") if args.mode == "both" else (args.mode,)
-    report = verify_equivalence(circuit, bits, modes)
+    modes = MODES if args.mode == "both" else (args.mode,)
+    report = verify_equivalence(circuit, args.bits, modes)
     print(f"bits {report.bits}")
     print(f"value {int(report.circuit_value)}")
     for mode in modes:
@@ -156,62 +143,56 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
+def _stdin_policy(graph):
+    """The human player: prompt on standard error, read moves from stdin."""
+
+    def choose(state: GameState) -> str:
+        position = state.cat if state.turn == CAT else state.mouse
+        legal = sorted(graph.neighbors_out(position))
+        while True:
+            sys.stderr.write(
+                f"{state.turn} at {position}; legal: {', '.join(legal)}\n> "
+            )
+            sys.stderr.flush()
+            line = sys.stdin.readline()
+            if not line:
+                raise UsageError("input ended before the game did")
+            move = line.strip()
+            if move in legal:
+                return move
+            sys.stderr.write(f"not a legal move: {move}\n")
+
+    return choose
+
+
+def _announced(policy, plies):
+    """``policy``, printing each move it makes as a ``ply`` line."""
+
+    def choose(state: GameState) -> str | None:
+        move = policy(state)
+        position = state.cat if state.turn == CAT else state.mouse
+        print(f"ply {next(plies)} {state.turn} {position} -> {move}")
+        return move
+
+    return choose
+
+
 def _cmd_play(args) -> int:
     circuit = _read_circuit(args.circuit)
-    bits = _parse_bits(circuit, args.bits)
-    graph, _cmap = _BUILDERS[args.mode](circuit, bits)
+    graph, _cmap = BUILDERS[args.mode](circuit, args.bits)
     instance = GameInstance.from_game_graph(graph)
     human = CAT if args.side == "cat" else MOUSE
-    opponent = solve(instance).policy()
-    err = sys.stderr
-    err.write(
-        f"You are the {'Cat' if human == CAT else 'Mouse'}.  "
+    you, opponent = _stdin_policy(graph), solve(instance).policy()
+    cat, mouse = (you, opponent) if human == CAT else (opponent, you)
+    sys.stderr.write(
+        f"You are the {human}.  "
         f"Cat starts at {instance.cat_start}, Mouse at {instance.mouse_start}, "
         f"hole is {instance.hole}.  Cat moves first.\n"
     )
-    state = instance.initial_state()
-    seen = set()
-    ply = 0
-    while True:
-        status = classify(state, instance)
-        if status != OPEN:
-            result = Outcome.CAT_WIN if status == CAT_TERMINAL else Outcome.MOUSE_WIN
-            reason = "capture" if status == CAT_TERMINAL else "hole"
-            break
-        if state in seen:
-            result, reason = Outcome.DRAW, "repetition"
-            break
-        seen.add(state)
-        mover = state.turn
-        position = state.cat if mover == CAT else state.mouse
-        legal = sorted(graph.neighbors_out(position))
-        if not legal:
-            result = Outcome.MOUSE_WIN if mover == CAT else Outcome.CAT_WIN
-            reason = "stuck"
-            break
-        if mover == human:
-            move = None
-            while move is None:
-                err.write(f"{mover} at {position}; legal: {', '.join(legal)}\n> ")
-                err.flush()
-                line = sys.stdin.readline()
-                if not line:
-                    err.write("input ended before the game did\n")
-                    return 2
-                candidate = line.strip()
-                if candidate in legal:
-                    move = candidate
-                else:
-                    err.write(f"not a legal move: {candidate}\n")
-        else:
-            move = opponent(state)
-        ply += 1
-        print(f"ply {ply} {mover} {position} -> {move}")
-        if mover == CAT:
-            state = GameState(move, state.mouse, MOUSE)
-        else:
-            state = GameState(state.cat, move, CAT)
-    print(f"result {result.value} {reason}")
+    plies = itertools.count(1)
+    transcript = play_match(instance, _announced(cat, plies),
+                            _announced(mouse, plies))
+    print(f"result {transcript.result.value} {transcript.reason}")
     return 0
 
 
@@ -230,8 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="build and print the game graph")
     p.add_argument("circuit")
     p.add_argument("bits")
-    p.add_argument("--mode", choices=("directed", "undirected"),
-                   default="directed")
+    p.add_argument("--mode", choices=MODES, default="directed")
     p.add_argument("--format", choices=("structured", "dot"),
                    default="structured")
     p.set_defaults(func=_cmd_reduce)
@@ -244,8 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check game value against circuit value")
     p.add_argument("circuit")
     p.add_argument("bits")
-    p.add_argument("--mode", choices=("directed", "undirected", "both"),
-                   default="both")
+    p.add_argument("--mode", choices=MODES + ("both",), default="both")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a random circuit")
@@ -268,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("play", help="play a match against the optimal opponent")
     p.add_argument("circuit")
     p.add_argument("bits")
-    p.add_argument("--mode", choices=("directed", "undirected"),
-                   default="directed")
+    p.add_argument("--mode", choices=MODES, default="directed")
     p.add_argument("--as", choices=("cat", "mouse"), required=True, dest="side")
     p.set_defaults(func=_cmd_play)
     return parser

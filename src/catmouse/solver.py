@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,29 +68,37 @@ class GameState(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """A bare arena graph for ad-hoc games (no roles, no layers)."""
+    """An arena graph: the nodes and the edges the players move along.
+
+    Only the first two entries of an edge are read, so an edge may carry
+    more (the reduction's game graphs add a tag).  Directed graphs restrict
+    movement to edge direction; undirected graphs allow both ways.
+    """
 
     directed: bool
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    edges: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        known = set(self.nodes)
-        for a, b in self.edges:
-            if a not in known or b not in known:
-                raise InvalidInstanceError(f"edge ({a!r}, {b!r}) uses unknown node")
-
-    @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        # Every graph is asked for moves, so the adjacency is built here, in
+        # the same pass that checks each edge's endpoints.
         out: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
+        for edge in self.edges:
+            a, b = edge[0], edge[1]
+            if a not in out or b not in out:
+                raise InvalidInstanceError(f"edge ({a!r}, {b!r}) uses unknown node")
             out[a].append(b)
             if not self.directed and a != b:
                 out[b].append(a)
-        return {n: tuple(vs) for n, vs in out.items()}
+        adjacency = {n: tuple(vs) for n, vs in out.items()}
+        object.__setattr__(self, "_adjacency", adjacency)
 
     def neighbors_out(self, node: str) -> tuple[str, ...]:
-        return self._adjacency[node]
+        """Nodes reachable from ``node`` in one move."""
+        try:
+            return self._adjacency[node]
+        except KeyError:
+            raise InvalidInstanceError(f"unknown node {node!r}") from None
 
     def has_node(self, node: str) -> bool:
         return node in self._adjacency
@@ -106,7 +113,7 @@ class GameInstance:
     move.
     """
 
-    graph: object
+    graph: Graph
     cat_start: str
     mouse_start: str
     hole: str

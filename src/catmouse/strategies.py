@@ -24,7 +24,7 @@ the Mouse reaches the hole in exactly as many moves as its starting level.
 
 from __future__ import annotations
 
-from .circuits import AND, OR, Circuit, evaluate, input_index, input_ref, is_input_ref
+from .circuits import AND, OR, Circuit, evaluate, input_ref
 from .reduction import (
     CAT_SIDE,
     MOUSE_SIDE,
@@ -33,9 +33,9 @@ from .reduction import (
     ROLE_ESCAPE,
     ROLE_GADGET,
     ROLE_INPUT,
+    _child_target,
     escape_node,
     gadget_node,
-    input_node,
 )
 from .solver import GameInstance, GameState
 
@@ -50,12 +50,6 @@ class NoMoveError(StrategyError):
 
 class NoSafeMoveError(StrategyError):
     """The marching Mouse has no forward move at all."""
-
-
-def _mouse_copy(ref: str) -> str:
-    if is_input_ref(ref):
-        return input_node(input_index(ref), MOUSE_SIDE)
-    return gadget_node(ref, MOUSE_SIDE, 1)
 
 
 def make_mirror_cat(instance: GameInstance, cmap, circuit: Circuit, bits):
@@ -115,7 +109,7 @@ def make_true_path_mouse(instance: GameInstance, cmap, circuit: Circuit, bits):
                 return down
             child = gate.left if role.position == 4 else gate.right
             branch = LEFT if role.position == 4 else RIGHT
-            return [_mouse_copy(child), escape_node(role.gate, branch, 1)]
+            return [_child_target(child, MOUSE_SIDE), escape_node(role.gate, branch, 1)]
         if role.kind == ROLE_INPUT:
             return [graph.h if values[input_ref(role.index)] else graph.d]
         if role.kind == ROLE_ESCAPE:

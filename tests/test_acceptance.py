@@ -29,8 +29,8 @@ from catmouse.circuits import (
     validate_layers,
 )
 from catmouse.reduction import (
-    build_directed,
-    build_undirected,
+    BUILDERS,
+    MODES,
     export_graph,
     import_graph,
 )
@@ -46,9 +46,6 @@ from catmouse.strategies import StrategyError, make_mirror_cat, make_true_path_m
 from catmouse.verify import check_structure, fuzz_equivalence, undirected_probes
 
 from conftest import random_arena, random_placement
-
-MODES = ("directed", "undirected")
-_BUILDERS = {"directed": build_directed, "undirected": build_undirected}
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 200
@@ -100,7 +97,7 @@ def _assignments(num_inputs):
 
 
 def _sweep_instance(results, tag, circuit, bits, mode, value):
-    graph, cmap = _BUILDERS[mode](circuit, bits)
+    graph, cmap = BUILDERS[mode](circuit, bits)
     inst = GameInstance.from_game_graph(graph)
     sol = solve(inst)
     out = sol.outcome()
@@ -296,8 +293,8 @@ def test_criterion_6_determinism_and_lossless_round_trips(sweep, corpus):
     for circuit in corpus[:3]:
         bits = "1" * circuit.num_inputs
         for mode in MODES:
-            g1, c1 = _BUILDERS[mode](circuit, bits)
-            g2, c2 = _BUILDERS[mode](circuit, bits)
+            g1, c1 = BUILDERS[mode](circuit, bits)
+            g2, c2 = BUILDERS[mode](circuit, bits)
             assert export_graph(g1, c1) == export_graph(g2, c2)
             i1 = GameInstance.from_game_graph(g1)
             i2 = GameInstance.from_game_graph(g2)

@@ -191,6 +191,14 @@ class TestFailClean:
         assert main(["fuzz", "--n", "1", flag, value]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["reduce"], ["verify"], ["play", "--as", "mouse"],
+    ])
+    @pytest.mark.parametrize("bits", ["101", "1x"])
+    def test_bad_bits_are_rejected(self, and_file, argv, bits, capsys):
+        assert main([argv[0], and_file, bits, *argv[1:]]) == 2
+        assert_one_line_error(capsys)
+
     def test_board_too_large_to_solve(self, tmp_path, capsys):
         fillers = [f"f{k}" for k in range(50_000 - 4)]
         lines = ["game directed", "node c cat-start", "node h hole",

@@ -1,5 +1,6 @@
 """Game-graph construction: gadgets, layers, threat/guard/escape edges."""
 
+import re
 from collections import deque
 
 import pytest
@@ -35,6 +36,15 @@ THREE_GATE = (
     "gate c AND a b\n"
     "output c\n"
 )
+
+
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+_DOT_NODE = re.compile(rf"  {_DOT_ID} \[label={_DOT_ID}\];")
+_DOT_EDGE = re.compile(rf"  {_DOT_ID} -> {_DOT_ID}( \[[^\]]*\])?;")
+
+
+def dot_unquote(text):
+    return re.sub(r"\\(.)", r"\1", text)
 
 
 def bfs_dist_to_hole(graph):
@@ -270,6 +280,20 @@ class TestExportImport:
         udot = export_graph(ugraph, ucmap, "dot")
         assert udot.startswith("graph game {")
         assert "[style=dotted]" in udot
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        gate = 'a"b\\'
+        circuit = parse_circuit(f"inputs 2\ngate {gate} AND i0 i1\noutput {gate}\n")
+        graph, cmap = build_directed(circuit, "11")
+        lines = export_graph(graph, cmap, "dot").splitlines()[1:-1]
+        nodes = [_DOT_NODE.fullmatch(line) for line in lines[:len(graph.nodes)]]
+        edges = [_DOT_EDGE.fullmatch(line) for line in lines[len(graph.nodes):]]
+        assert all(nodes) and all(edges)
+        assert [dot_unquote(m[1]) for m in nodes] == list(graph.nodes)
+        labels = {dot_unquote(m[1]): dot_unquote(m[2]) for m in nodes}
+        assert labels[graph.m] == f"gadget {gate} 1 M"
+        assert [(dot_unquote(m[1]), dot_unquote(m[2])) for m in edges] == \
+            [(a, b) for a, b, _tag in graph.edges]
 
     def test_self_loop_rejected(self):
         text = (

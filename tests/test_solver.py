@@ -340,6 +340,15 @@ class TestPlayMatch:
         assert transcript.result is Outcome.MOUSE_WIN
         assert transcript.moves == ()
 
+    def test_unknown_start_node_is_an_invalid_instance(self):
+        g = line_graph(True, ("a", "b"), ("b", "h"))
+        inst = GameInstance(g, "a", "b", "h")
+        policy = solve(inst).policy()
+        with pytest.raises(InvalidInstanceError):
+            play_match(inst, policy, policy, start=GameState("zz", "b", CAT))
+        circuit = parse_circuit("inputs 2\ngate g0 AND i0 i1\noutput g0\n")
+        assert isinstance(build_directed(circuit, "11")[0], Graph)
+
 
 class TestDeterminism:
     def test_repeat_solves_agree_everywhere(self):
