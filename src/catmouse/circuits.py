@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 AND = "AND"
 OR = "OR"
 
-_INPUT_REF_RE = re.compile(r"^i(0|[1-9][0-9]*)$")
+_INPUT_REF_RE = re.compile(r"i(0|[1-9][0-9]*)")
 
 
 class CircuitError(Exception):
@@ -83,11 +83,11 @@ def input_ref(index: int) -> str:
 
 
 def is_input_ref(ref: str) -> bool:
-    return _INPUT_REF_RE.match(ref) is not None
+    return _INPUT_REF_RE.fullmatch(ref) is not None
 
 
 def input_index(ref: str) -> int:
-    m = _INPUT_REF_RE.match(ref)
+    m = _INPUT_REF_RE.fullmatch(ref)
     if m is None:
         raise UnknownRefError(f"{ref!r} is not an input reference")
     return int(m.group(1))
@@ -172,7 +172,6 @@ def parse_circuit(text: str) -> Circuit:
     num_inputs = None
     gates: list[Gate] = []
     output = None
-    seen_ids: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -202,7 +201,6 @@ def parse_circuit(text: str) -> Circuit:
             if is_input_ref(gid):
                 raise CircuitSyntaxError(lineno, f"gate id {gid!r} shadows input syntax")
             gates.append(Gate(gid, kind, left, right))
-            seen_ids.append(gid)
         elif keyword == "output":
             if num_inputs is None:
                 raise CircuitSyntaxError(lineno, "inputs must be declared before output")

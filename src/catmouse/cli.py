@@ -50,8 +50,15 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+
+
 def _read_circuit(path: str):
-    return parse_circuit(Path(path).read_text())
+    return parse_circuit(_read_text(path))
 
 
 def _cmd_eval(args) -> int:
@@ -78,7 +85,7 @@ def _parse_state(raw: str) -> GameState:
 
 
 def _cmd_solve(args) -> int:
-    graph, cmap = import_graph(Path(args.graph).read_text())
+    graph, cmap = import_graph(_read_text(args.graph))
     instance = GameInstance.from_game_graph(graph)
     state = _parse_state(args.state) if args.state else instance.initial_state()
     solution = solve(instance)

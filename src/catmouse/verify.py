@@ -1,16 +1,18 @@
 """Mechanical verification that game values track circuit values.
 
 ``verify_equivalence`` is the core harness: build the game for a circuit and
-assignment, solve it exactly, and demand that the Mouse wins if and only if
-the circuit evaluates to true, with no draws, in whichever modes are
-requested.  It also plays the scripted strategies against each other and
-checks the match ends the way the plans promise: on a true circuit the
-Mouse reaches the hole in exactly two plies per level, on a false one the
-Cat captures.
+assignment, audit its structure, solve it exactly, and demand that the Mouse
+wins if and only if the circuit evaluates to true, with no draws, in
+whichever modes are requested.  It also plays the scripted strategies
+against each other and checks the match ends the way the plans promise: on
+a true circuit the Mouse reaches the hole in exactly two plies per level, on
+a false one the Cat captures.
 
-``check_structure`` recomputes the graph's expected shape from the circuit
-alone (node and edge counts, tag counts, level geometry, bolt-hole chain
-lengths, the copy pairing) and reports every discrepancy.
+``check_structure`` builds the board and audits it against the census the
+circuit alone predicts (node, edge, threat and guard counts, the stalk, the
+levels of c, m and h, the sinks, the copy partners, the escape chains).  The
+layer geometry and the copy pairing are not audited again: the builder's
+``validate_graph`` enforces them on every board.
 
 ``undirected_probes`` plays deviating strategies on the undirected graph:
 three Mouse cheats (stepping backwards, crossing into the Cat copy over a
@@ -18,14 +20,13 @@ threat edge, crossing over a guard edge) that must each be punished by
 capture on the very next ply, and a Cat tempo-waste (retreating to its
 previous node) that must still lose on a true circuit.
 
-``fuzz_equivalence`` drives all of the above over seeded random circuits
-and returns serialized reproducers for any failure.
+``fuzz_equivalence`` runs ``verify_equivalence`` in both modes over seeded
+random circuits and returns serialized reproducers for any failure.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .circuits import (
@@ -45,9 +46,7 @@ from .reduction import (
     ROLE_ESCAPE,
     ROLE_GADGET,
     ROLE_INPUT,
-    TAG_GADGET,
     TAG_GUARD,
-    TAG_INTER,
     TAG_THREAT,
     build_undirected,
     escape_node,
@@ -99,6 +98,9 @@ def verify_equivalence(
     violations: list[str] = []
     for mode in modes:
         graph, cmap = BUILDERS[mode](circuit, bits)
+        violations.extend(
+            f"structure[{mode}]: {p}" for p in _audit(graph, cmap, circuit, bits)
+        )
         inst = GameInstance.from_game_graph(graph)
         solution = solve(inst)
         outcomes[mode] = solution.outcome()
@@ -152,25 +154,13 @@ def verify_equivalence(
     )
 
 
-def _forward_distance_to_hole(graph) -> dict[str, int]:
-    """Edge distance to h walking the arrows backwards from h."""
-    incoming: dict[str, list[str]] = {v: [] for v in graph.nodes}
-    for a, b, _tag in graph.edges:
-        incoming[b].append(a)
-    dist = {graph.h: 0}
-    queue = deque([graph.h])
-    while queue:
-        v = queue.popleft()
-        for u in incoming[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 def check_structure(circuit: Circuit, bits, mode: str) -> list[str]:
-    """Recompute the expected shape of the built graph; list every mismatch."""
-    graph, cmap = BUILDERS[mode](circuit, bits)
+    """Build the ``mode`` board and list every mismatch the audit finds."""
+    return _audit(*BUILDERS[mode](circuit, bits), circuit, bits)
+
+
+def _audit(graph, cmap, circuit: Circuit, bits) -> list[str]:
+    """Compare a built board with the census the circuit alone predicts."""
     layers = validate_layers(circuit)
     depth = layers[circuit.output]
     _bit, values = evaluate(circuit, bits)
@@ -192,15 +182,16 @@ def check_structure(circuit: Circuit, bits, mode: str) -> list[str]:
             f"node count {len(graph.nodes)}, expected {expected_nodes}"
         )
 
-    plain_edges = (
+    expected_guards = 0 if graph.directed else 8 * len(gates)
+    expected_edges = (
         1
         + 16 * len(gates)
         + 2 * n_and
         + sum(6 * layers[g.id] for g in gates)
         + 2 * circuit.num_inputs
         + n_true
+        + expected_guards
     )
-    expected_edges = plain_edges + (8 * len(gates) if mode == "undirected" else 0)
     if len(graph.edges) != expected_edges:
         problems.append(
             f"edge count {len(graph.edges)}, expected {expected_edges}"
@@ -211,28 +202,10 @@ def check_structure(circuit: Circuit, bits, mode: str) -> list[str]:
         problems.append(
             f"threat edges {counts[TAG_THREAT]}, expected {2 * n_and}"
         )
-    expected_guards = 8 * len(gates) if mode == "undirected" else 0
     if counts[TAG_GUARD] != expected_guards:
         problems.append(
             f"guard edges {counts[TAG_GUARD]}, expected {expected_guards}"
         )
-    if mode == "undirected":
-        mouse_edges = {
-            (a, b) for a, b, tag in graph.edges
-            if tag in (TAG_GADGET, TAG_INTER)
-            and a in cmap.cat_of and b in cmap.cat_of
-        }
-        guards = {(a, b) for a, b, tag in graph.edges if tag == TAG_GUARD}
-        rebuilt = {(a, cmap.cat_of[b]) for a, b in mouse_edges}
-        if guards != rebuilt:
-            problems.append("guard edges are not the image of the Mouse copy")
-
-    for a, b, _tag in graph.edges:
-        da, db = cmap.layer[a], cmap.layer[b]
-        if mode == "directed" and da != db + 1:
-            problems.append(f"edge {a}->{b} spans levels {da}->{db}")
-        if mode == "undirected" and abs(da - db) != 1:
-            problems.append(f"edge {a}--{b} spans levels {da}--{db}")
 
     if graph.neighbors_out(graph.c) != (gadget_node(circuit.output, CAT_SIDE, 1),):
         problems.append("cat start does not feed exactly the output gadget")
@@ -240,21 +213,16 @@ def check_structure(circuit: Circuit, bits, mode: str) -> list[str]:
         problems.append("cat start is on the wrong level")
     if cmap.layer[graph.m] != 3 * depth + 1:
         problems.append("mouse start is on the wrong level")
+    # validate_graph makes every directed edge drop one level, so on the
+    # directed board this also puts each node its level away from the hole.
+    if cmap.layer[graph.h] != 0:
+        problems.append("hole is on the wrong level")
 
-    if mode == "directed":
-        dist = _forward_distance_to_hole(graph)
-        for v in graph.nodes:
-            if v in dist and dist[v] != cmap.layer[v]:
-                problems.append(
-                    f"{v}: distance to hole {dist[v]} != level {cmap.layer[v]}"
-                )
+    if graph.directed:
         for sink in (graph.h, graph.d):
             if graph.neighbors_out(sink):
                 problems.append(f"{sink} has outgoing edges")
 
-    for mouse_node, cat_node in cmap.cat_of.items():
-        if cmap.layer[mouse_node] != cmap.layer[cat_node]:
-            problems.append(f"pair {mouse_node}/{cat_node} on different levels")
     paired = set(cmap.cat_of) | set(cmap.cat_of.values())
     for v in graph.nodes:
         role = graph.role(v)
@@ -318,11 +286,8 @@ def _deviating_mouse(graph, base, trigger):
     return policy, memo
 
 
-def _probe_match(name, graph, cmap, circuit, bits, trigger):
-    inst = GameInstance.from_game_graph(graph)
-    cat = make_mirror_cat(inst, cmap, circuit, bits)
-    base = make_true_path_mouse(inst, cmap, circuit, bits)
-    mouse, memo = _deviating_mouse(graph, base, trigger)
+def _probe_match(name, inst, cat, base, trigger):
+    mouse, memo = _deviating_mouse(inst.graph, base, trigger)
     transcript = play_match(inst, cat, mouse)
     if memo["fired_at"] is None:
         return ProbeResult(name, fired=False, ok=True, detail="never fired")
@@ -343,6 +308,10 @@ def _probe_match(name, graph, cmap, circuit, bits, trigger):
 
 def undirected_probes(circuit: Circuit, bits) -> list[ProbeResult]:
     graph, cmap = build_undirected(circuit, bits)
+    inst = GameInstance.from_game_graph(graph)
+    # Both scripted policies are stateless, so every probe shares them.
+    base_cat = make_mirror_cat(inst, cmap, circuit, bits)
+    base_mouse = make_true_path_mouse(inst, cmap, circuit, bits)
     results = []
 
     def backtrack(state, prev, moves):
@@ -351,7 +320,7 @@ def undirected_probes(circuit: Circuit, bits) -> list[ProbeResult]:
         return None
 
     results.append(
-        _probe_match("mouse-backtrack", graph, cmap, circuit, bits, backtrack)
+        _probe_match("mouse-backtrack", inst, base_cat, base_mouse, backtrack)
     )
 
     def cross_threat(state, prev, moves):
@@ -364,7 +333,7 @@ def undirected_probes(circuit: Circuit, bits) -> list[ProbeResult]:
         return None
 
     results.append(
-        _probe_match("mouse-cross-threat", graph, cmap, circuit, bits, cross_threat)
+        _probe_match("mouse-cross-threat", inst, base_cat, base_mouse, cross_threat)
     )
 
     def cross_guard(state, prev, moves):
@@ -379,12 +348,10 @@ def undirected_probes(circuit: Circuit, bits) -> list[ProbeResult]:
         return None
 
     results.append(
-        _probe_match("mouse-cross-guard", graph, cmap, circuit, bits, cross_guard)
+        _probe_match("mouse-cross-guard", inst, base_cat, base_mouse, cross_guard)
     )
 
     # Cat tempo-waste: retreat on move 3, then resume shadowing if possible.
-    inst = GameInstance.from_game_graph(graph)
-    base_cat = make_mirror_cat(inst, cmap, circuit, bits)
     memo = {"moves": 0, "prev": None}
 
     def wasting_cat(state):
@@ -443,10 +410,9 @@ def fuzz_equivalence(
     max_layers: int = 3,
     max_width: int = 3,
     max_inputs: int = 4,
-    modes=MODES,
-    structure: bool = True,
 ) -> FuzzReport:
-    """Run the harness over ``n`` seeded random circuit-and-assignment pairs."""
+    """Run ``verify_equivalence`` in both modes over ``n`` seeded random
+    circuit-and-assignment pairs."""
     rng = random.Random(seed)
     failures: list[FuzzFailure] = []
     for trial in range(n):
@@ -469,20 +435,14 @@ def fuzz_equivalence(
             fanout2=fanout2,
         )
         bits = "".join(rng.choice("01") for _ in range(circuit.num_inputs))
-        violations = list(verify_equivalence(circuit, bits, modes).violations)
-        if structure:
-            for mode in modes:
-                violations.extend(
-                    f"structure[{mode}]: {p}"
-                    for p in check_structure(circuit, bits, mode)
-                )
+        violations = verify_equivalence(circuit, bits).violations
         if violations:
             failures.append(
                 FuzzFailure(
                     trial=trial,
                     circuit_text=serialize_circuit(circuit),
                     bits=bits,
-                    violations=tuple(violations),
+                    violations=violations,
                 )
             )
     return FuzzReport(checked=n, failures=tuple(failures))

@@ -35,7 +35,6 @@ from catmouse.reduction import (
     import_graph,
 )
 from catmouse.solver import (
-    CAT,
     GameInstance,
     Outcome,
     minimax_oracle,
@@ -221,7 +220,7 @@ def test_criterion_2_solver_matches_exhaustive_oracle():
 
     # Hand-built corners: forced suicide vs capture precedence, the stuck
     # rule, and a clean four-cycle draw.
-    from catmouse.solver import Graph, MOUSE
+    from catmouse.solver import Graph
 
     suicide = Graph(True, ("x", "y", "h"), (("x", "h"), ("y", "h")))
     inst = GameInstance(suicide, "x", "y", "h")

@@ -8,6 +8,7 @@ from catmouse.circuits import (
     AND,
     OR,
     Circuit,
+    CircuitError,
     CircuitSyntaxError,
     DuplicateIdError,
     Gate,
@@ -262,3 +263,8 @@ def test_programmatic_construction_checks_structure():
         Circuit(2, (Gate("a", AND, "b", "i0"), Gate("b", OR, "i0", "i1")), "a")
     with pytest.raises(UnknownRefError):
         Circuit(2, (Gate("a", AND, "i0", "zz"),), "a")
+
+
+def test_input_ref_with_a_trailing_newline_is_rejected():
+    with pytest.raises(CircuitError):
+        Circuit(2, (Gate("g0", AND, "i0\n", "i1"),), "g0")

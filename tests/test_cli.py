@@ -175,6 +175,7 @@ def assert_one_line_error(capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 class TestFailClean:
@@ -198,6 +199,16 @@ class TestFailClean:
     def test_bad_bits_are_rejected(self, and_file, argv, bits, capsys):
         assert main([argv[0], and_file, bits, *argv[1:]]) == 2
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "11"], ["reduce", "11"], ["verify", "11"],
+        ["play", "11", "--as", "mouse"], ["solve"],
+    ])
+    def test_file_that_is_not_utf8_is_rejected(self, tmp_path, argv, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes("inputs 2\n".encode("utf-16"))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert str(path) in assert_one_line_error(capsys)
 
     def test_board_too_large_to_solve(self, tmp_path, capsys):
         fillers = [f"f{k}" for k in range(50_000 - 4)]

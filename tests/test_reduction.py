@@ -7,8 +7,6 @@ import pytest
 
 from catmouse.circuits import parse_circuit
 from catmouse.reduction import (
-    CAT_SIDE,
-    MOUSE_SIDE,
     ROLE_ESCAPE,
     ROLE_GADGET,
     ROLE_INPUT,

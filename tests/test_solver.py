@@ -15,7 +15,6 @@ from catmouse.solver import (
     GameState,
     Graph,
     InvalidInstanceError,
-    MatchTranscript,
     Outcome,
     PolicyIllegalMoveError,
     TooLargeError,

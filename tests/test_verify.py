@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 
+from catmouse import reduction
 from catmouse.circuits import parse_circuit
+from catmouse.cli import main
 from catmouse.verify import (
     FuzzFailure,
     check_structure,
@@ -60,6 +63,28 @@ class TestCheckStructure:
             for bits in all_bits(circuit.num_inputs):
                 for mode in ("directed", "undirected"):
                     assert check_structure(circuit, bits, mode) == []
+
+    def test_a_board_missing_an_escape_edge_is_reported(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def broken(circuit, bits):
+            graph, cmap = reduction.build_directed(circuit, bits)
+            escape = next(e for e in graph.edges
+                          if e[2] == reduction.TAG_ESCAPE)
+            edges = tuple(e for e in graph.edges if e != escape)
+            return dataclasses.replace(graph, edges=edges), cmap
+
+        monkeypatch.setitem(reduction.BUILDERS, "directed", broken)
+        circuit = parse_circuit(ONE_AND)
+        problems = check_structure(circuit, "11", "directed")
+        assert any(p.startswith("edge count ") for p in problems), problems
+        report = verify_equivalence(circuit, "11", modes=("directed",))
+        assert any(v.startswith("structure[directed]: edge count ")
+                   for v in report.violations), report.violations
+        path = tmp_path / "and.circuit"
+        path.write_text(ONE_AND)
+        assert main(["verify", str(path), "11", "--mode", "directed"]) == 1
+        assert "violation structure[directed]: " in capsys.readouterr().out
 
 
 class TestUndirectedProbes:
