@@ -8,7 +8,7 @@ match interactively against the optimal opponent.
 Machine-readable output goes to standard out in the formats the library
 defines; prompts and commentary go to standard error.  Exit codes: 0 on
 success, 1 when a verified property fails to hold, 2 on usage or input
-errors.
+errors and when memory runs out.
 """
 
 from __future__ import annotations
@@ -268,6 +268,10 @@ def main(argv=None) -> int:
     except (UsageError, CircuitError, GraphError, SolverError,
             StrategyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .circuits import Circuit, evaluate, input_ref, is_input_ref, validate_layers
 from .solver import Graph
@@ -137,16 +136,6 @@ class GameGraph(Graph):
     m: str
     h: str
     d: str
-
-    @cached_property
-    def _edge_pairs(self) -> frozenset:
-        if self.directed:
-            return frozenset((a, b) for a, b, _ in self.edges)
-        return frozenset(frozenset((a, b)) for a, b, _ in self.edges)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        key = (a, b) if self.directed else frozenset((a, b))
-        return key in self._edge_pairs
 
     def role(self, node: str) -> NodeRole:
         try:
@@ -397,9 +386,9 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
     """Parse the structured format back into a graph and its map.
 
     Raises :class:`GraphSyntaxError` for malformed lines and
-    :class:`InconsistentGraphError` for structural violations (self-loops,
-    parallel edges, layer-skipping edges, a branched Cat stalk, or a broken
-    Mouse/Cat pairing).
+    :class:`InconsistentGraphError` for structural violations (parallel
+    edges, edges that do not join adjacent layers, self-loops included, a
+    branched Cat stalk, or a broken Mouse/Cat pairing).
     """
     directed: bool | None = None
     nodes: list[str] = []
@@ -495,17 +484,16 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
 
 
 def validate_graph(graph: GameGraph, cmap: CorrespondenceMap):
-    """Check the structural invariants every built game graph satisfies."""
-    seen = set()
+    """Check the structural invariants every built game graph satisfies.
+
+    The layer rule also rejects self-loops; parallel edges are found on the
+    adjacency the :class:`Graph` built.
+    """
+    layer, c = cmap.layer, graph.c
+    at_c = 0
     for a, b, _tag in graph.edges:
-        if a == b:
-            raise InconsistentGraphError(f"self-loop at {a!r}")
-        key = (a, b) if graph.directed else frozenset((a, b))
-        if key in seen:
-            raise InconsistentGraphError(f"parallel edge {a!r} -> {b!r}")
-        seen.add(key)
         try:
-            la, lb = cmap.layer[a], cmap.layer[b]
+            la, lb = layer[a], layer[b]
         except KeyError as missing:
             raise InconsistentGraphError(f"no layer for node {missing}") from None
         if graph.directed:
@@ -517,11 +505,16 @@ def validate_graph(graph: GameGraph, cmap: CorrespondenceMap):
             raise InconsistentGraphError(
                 f"edge {a!r} -- {b!r} spans layers {la} -- {lb}"
             )
-    incident = [e for e in graph.edges if graph.c in (e[0], e[1])]
-    if len(incident) != 1 or len(graph.neighbors_out(graph.c)) != 1:
+        at_c += c in (a, b)
+    for a in graph.nodes:
+        moves = graph.neighbors_out(a)
+        if len(set(moves)) != len(moves):
+            b = next(v for i, v in enumerate(moves) if v in moves[:i])
+            raise InconsistentGraphError(f"parallel edge {a!r} -> {b!r}")
+    if at_c != 1 or len(graph.neighbors_out(c)) != 1:
         raise InconsistentGraphError("the Cat stalk c must have exactly one edge")
     for mouse, cat in cmap.cat_of.items():
-        if cmap.layer[mouse] != cmap.layer[cat]:
+        if layer[mouse] != layer[cat]:
             raise InconsistentGraphError(
                 f"paired nodes {mouse!r}/{cat!r} on different layers"
             )

@@ -73,6 +73,8 @@ class Graph:
     Only the first two entries of an edge are read, so an edge may carry
     more (the reduction's game graphs add a tag).  Directed graphs restrict
     movement to edge direction; undirected graphs allow both ways.
+    ``index`` (node to position in ``nodes``) and the adjacency behind
+    ``neighbors_out`` are the board's only ones; the solver reads them too.
     """
 
     directed: bool
@@ -80,18 +82,22 @@ class Graph:
     edges: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        # Every graph is asked for moves, so the adjacency is built here, in
-        # the same pass that checks each edge's endpoints.
+        # Every graph is asked for positions and moves, so the index and the
+        # adjacency are built here, in the pass that checks edge endpoints.
+        index = dict(zip(self.nodes, range(len(self.nodes))))
+        if len(index) != len(self.nodes):
+            twice = next(v for i, v in enumerate(self.nodes) if index[v] != i)
+            raise InvalidInstanceError(f"node {twice!r} listed twice")
         out: dict[str, list[str]] = {n: [] for n in self.nodes}
         for edge in self.edges:
             a, b = edge[0], edge[1]
-            if a not in out or b not in out:
+            if a not in index or b not in index:
                 raise InvalidInstanceError(f"edge ({a!r}, {b!r}) uses unknown node")
             out[a].append(b)
             if not self.directed and a != b:
                 out[b].append(a)
-        adjacency = {n: tuple(vs) for n, vs in out.items()}
-        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_adjacency", {n: tuple(vs) for n, vs in out.items()})
 
     def neighbors_out(self, node: str) -> tuple[str, ...]:
         """Nodes reachable from ``node`` in one move."""
@@ -101,7 +107,11 @@ class Graph:
             raise InvalidInstanceError(f"unknown node {node!r}") from None
 
     def has_node(self, node: str) -> bool:
-        return node in self._adjacency
+        return node in self.index
+
+    def has_edge(self, a: str, b: str) -> bool:
+        """Whether a move leads from ``a`` to ``b``; False for unknown nodes."""
+        return b in self._adjacency.get(a, ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,21 +159,20 @@ _MOUSEWIN = 2
 
 
 class Solution:
-    """Value, optimal-play distance and best moves for every state."""
+    """Value, optimal-play distance and best moves for every state; the
+    tables are indexed [cat, mouse] by the graph's ``index``."""
 
-    def __init__(self, instance, ids, val_c, val_m, dist_c, dist_m):
+    def __init__(self, instance, val_c, val_m, dist_c, dist_m):
         self.instance = instance
-        self._ids = ids
-        self._index = {v: i for i, v in enumerate(ids)}
         self._val = {CAT: val_c, MOUSE: val_m}
         self._dist = {CAT: dist_c, MOUSE: dist_m}
 
     def _locate(self, state: GameState) -> tuple[np.ndarray, np.ndarray, int, int]:
         if state.turn not in (CAT, MOUSE):
             raise InvalidInstanceError(f"bad turn {state.turn!r}")
+        index = self.instance.graph.index
         try:
-            ci = self._index[state.cat]
-            mi = self._index[state.mouse]
+            ci, mi = index[state.cat], index[state.mouse]
         except KeyError as missing:
             raise InvalidInstanceError(f"unknown node {missing}") from None
         return self._val[state.turn], self._dist[state.turn], ci, mi
@@ -186,58 +195,37 @@ class Solution:
     def outcome(self) -> Outcome:
         return self.value(self.instance.initial_state())
 
-    def _successors(self, state: GameState) -> list[tuple[str, GameState]]:
-        if state.turn == CAT:
-            return [(v, GameState(v, state.mouse, MOUSE))
-                    for v in self.instance.graph.neighbors_out(state.cat)]
-        return [(v, GameState(state.cat, v, CAT))
-                for v in self.instance.graph.neighbors_out(state.mouse)]
-
     def best_move(self, state: GameState) -> str | None:
-        """The optimal move for the player to play in a decided open state.
+        """The policy's move in a decided open state: the winner's soonest
+        win or the loser's longest loss; None on terminal states, draws and
+        stuck states."""
+        if self.value(state) is Outcome.DRAW:
+            return None
+        return self._move(state)
 
-        The winner picks the smallest-distance winning successor, the loser
-        the largest-distance one; remaining ties fall to the smaller node id.
-        Returns None on terminal states, draws and stuck states.
-        """
+    def _move(self, state: GameState) -> str | None:
+        """The optimal move in an open state: the soonest win for the mover,
+        else any draw, else the longest loss; ties go to the smaller node id."""
         if classify(state, self.instance) != OPEN:
             return None
-        value = self.value(state)
-        if value is Outcome.DRAW:
-            return None
-        successors = self._successors(state)
-        if not successors:
-            return None
-        mover_wins = (value is Outcome.CAT_WIN) == (state.turn == CAT)
-        best: tuple | None = None
-        for move, nxt in successors:
-            if self.value(nxt) is not value:
-                continue
-            plies = self.dist(nxt)
-            key = (plies, move) if mover_wins else (-plies, move)
-            if best is None or key < best[0]:
-                best = (key, move)
-        return None if best is None else best[1]
-
-    def _draw_move(self, state: GameState) -> str | None:
-        opponent_win = Outcome.CAT_WIN if state.turn == MOUSE else Outcome.MOUSE_WIN
-        candidates = sorted(
-            move for move, nxt in self._successors(state)
-            if self.value(nxt) is not opponent_win
-        )
-        return candidates[0] if candidates else None
+        _val, _dist, ci, mi = self._locate(state)
+        graph, cat_moves = self.instance.graph, state.turn == CAT
+        after, wins = (MOUSE, _CATWIN) if cat_moves else (CAT, _MOUSEWIN)
+        val, dist = self._val[after], self._dist[after]
+        best = None
+        for move in graph.neighbors_out(state.cat if cat_moves else state.mouse):
+            cell = (graph.index[move], mi) if cat_moves else (ci, graph.index[move])
+            code, plies = val.item(cell), dist.item(cell)
+            # Every draw has distance -1, so draws tie on it.
+            rank = 0 if code == wins else 1 if code == 0 else 2
+            key = (rank, -plies if rank else plies, move)
+            if best is None or key < best:
+                best = key
+        return None if best is None else best[2]
 
     def policy(self) -> Callable[[GameState], str | None]:
         """An optimal policy: follows best moves, preserves draws."""
-
-        def choose(state: GameState) -> str | None:
-            if classify(state, self.instance) != OPEN:
-                return None
-            if self.value(state) is Outcome.DRAW:
-                return self._draw_move(state)
-            return self.best_move(state)
-
-        return choose
+        return self._move
 
 
 # Bytes per (cat, mouse, turn) state: value (int8), distance (int32) and
@@ -255,16 +243,16 @@ _WON, _LOST = 1, 2
 
 def solve(instance: GameInstance) -> Solution:
     """Retrograde analysis of the full (cat, mouse, turn) state space."""
-    ids = tuple(instance.graph.nodes)
-    n = len(ids)
+    graph = instance.graph
+    n = len(graph.nodes)
     need = 2 * n * n * _BYTES_PER_STATE
     if need > _MAX_TABLE_BYTES:
         raise TooLargeError(
             f"{n} nodes need {need / 2**30:.1f} GiB of state tables; "
             f"the solver allows {_MAX_TABLE_BYTES / 2**30:.0f} GiB"
         )
-    arena = _Arena(instance.graph, ids)
-    hole = ids.index(instance.hole)
+    arena = _Arena(graph)
+    hole = graph.index[instance.hole]
 
     # State (t, a, b) sits at t*n^2 + a*n + b: block 0 is Cat to move stored
     # as [mouse, cat], block 1 Mouse to move stored as [cat, mouse].  Either
@@ -300,7 +288,7 @@ def solve(instance: GameInstance) -> Solution:
     # stamps left on them.
     np.subtract(_CATWIN + _MOUSEWIN, vals[1], out=vals[1], where=vals[1] != 0)
     dist[val == 0] = -1
-    return Solution(instance, ids, vals[0].T, vals[1], dists[0].T, dists[1])
+    return Solution(instance, vals[0].T, vals[1], dists[0].T, dists[1])
 
 
 def _ply(arena, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
@@ -353,10 +341,10 @@ class _Arena:
     every gather.
     """
 
-    def __init__(self, graph, ids: tuple[str, ...]):
-        n = len(ids)
-        index = {v: i for i, v in enumerate(ids)}
-        codes = np.array(sorted({index[v] * n + ui for ui, u in enumerate(ids)
+    def __init__(self, graph: Graph):
+        n = len(graph.nodes)
+        index = graph.index
+        codes = np.array(sorted({index[v] * n + ui for ui, u in enumerate(graph.nodes)
                                  for v in graph.neighbors_out(u)}), dtype=np.intp)
         self.n = n
         self.src = codes % n
@@ -440,7 +428,7 @@ def play_match(
     """
     graph = instance.graph
     if max_plies is None:
-        max_plies = 2 * len(tuple(graph.nodes)) ** 2 + 2
+        max_plies = 2 * len(graph.nodes) ** 2 + 2
     state = start if start is not None else instance.initial_state()
     seen: set[GameState] = set()
     moves: list[tuple[int, str, str, str]] = []

@@ -94,4 +94,4 @@ def solve(instance: GameInstance) -> Solution:
         cw_m[new_cw_m] = 1.0
         mw_m[new_mw_m] = 1.0
 
-    return Solution(instance, ids, val_c, val_m, dist_c, dist_m)
+    return Solution(instance, val_c, val_m, dist_c, dist_m)

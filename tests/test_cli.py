@@ -222,6 +222,18 @@ class TestFailClean:
         assert main(["solve", str(path)]) == 2
         assert_one_line_error(capsys)
 
+    def test_out_of_memory_is_a_one_line_error(self, and_file, tmp_path, capsys,
+                                               monkeypatch):
+        def exhausted(_instance):
+            raise MemoryError("Unable to allocate 1.92 GiB for an array")
+
+        main(["reduce", and_file, "11"])
+        graph_file = tmp_path / "game.graph"
+        graph_file.write_text(capsys.readouterr().out)
+        monkeypatch.setattr("catmouse.cli.solve", exhausted)
+        assert main(["solve", str(graph_file)]) == 2
+        assert "out of memory" in assert_one_line_error(capsys)
+
     def test_deep_chain_evaluates(self, tmp_path, capsys):
         path = tmp_path / "chain.circuit"
         path.write_text(and_chain_text(3000))

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = ("src/catmouse/*.py", "tests/*.py", "demos/*.py")
+SOURCES = ("src/catmouse/*.py", "tests/*.py", "demos/*.py", "bench/*.py")
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -86,6 +86,29 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             Graph(directed=True, nodes=("a",), edges=(("a", "b"),))
 
+    def test_repeated_node_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            Graph(True, ("a", "b", "a", "h"), (("a", "b"), ("b", "h")))
+
+
+class TestHasEdge:
+    def test_undirected_edge_answers_both_ways(self):
+        g = Graph(False, ("a", "b", "c"), (("a", "b"),))
+        assert g.has_edge("a", "b") and g.has_edge("b", "a")
+        assert not g.has_edge("a", "c") and not g.has_edge("c", "b")
+
+    def test_directed_edge_answers_its_direction_only(self):
+        g = Graph(True, ("a", "b"), (("a", "b"),))
+        assert g.has_edge("a", "b")
+        assert not g.has_edge("b", "a")
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_unknown_node_has_no_edge(self, directed):
+        g = Graph(directed, ("a", "b"), (("a", "b"),))
+        assert not g.has_edge("a", "zz")
+        assert not g.has_edge("zz", "b")
+        assert not g.has_edge("zz", "yy")
+
 
 class TestSolveSmall:
     def test_adjacent_cat_captures_in_one_ply(self):
@@ -209,6 +232,31 @@ class TestLocalConsistency:
                             assert sol.dist(state) == 1 + max(
                                 sol.dist(s) for s in succ
                             )
+
+    def test_policy_follows_the_move_rule(self):
+        """A won state moves to a win one ply nearer, a drawn one to a draw,
+        a lost one to a loss one ply nearer, each to the smallest such node;
+        best_move agrees with the policy on every decided state."""
+        for seed in range(25):
+            graph = random_arena(seed)
+            cat, mouse, hole = random_placement(graph, seed + 1000)
+            inst = GameInstance(graph, cat, mouse, hole)
+            sol = solve(inst)
+            policy = sol.policy()
+            for c, m, turn in itertools.product(graph.nodes, graph.nodes, (CAT, MOUSE)):
+                state = GameState(c, m, turn)
+                value, move = sol.value(state), policy(state)
+                if value is not Outcome.DRAW:
+                    assert sol.best_move(state) == move
+                succ = self.successors(graph, state)
+                if classify(state, inst) != OPEN or not succ:
+                    continue
+                moves = graph.neighbors_out(c if turn == CAT else m)
+                nearer = None if value is Outcome.DRAW else sol.dist(state) - 1
+                good = [v for v, s in zip(moves, succ)
+                        if sol.value(s) is value and sol.dist(s) == nearer]
+                assert good
+                assert move == min(good)
 
 
 class TestAgainstOracle:
