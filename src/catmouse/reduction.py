@@ -180,8 +180,6 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
     cat_of: dict[str, str] = {}
 
     def add(node: str, role: NodeRole, lvl: int):
-        if node in roles:
-            raise InconsistentGraphError(f"node id {node!r} constructed twice")
         nodes.append(node)
         roles[node] = role
         layer[node] = lvl

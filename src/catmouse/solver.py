@@ -399,7 +399,6 @@ class MatchTranscript:
     moves: tuple[tuple[int, str, str, str], ...]
     result: Outcome
     reason: str
-    states: tuple[GameState, ...]
     gave_up: bool = False
 
     def text(self) -> str:
@@ -432,7 +431,6 @@ def play_match(
     state = start if start is not None else instance.initial_state()
     seen: set[GameState] = set()
     moves: list[tuple[int, str, str, str]] = []
-    states = [state]
     ply = 0
     gave_up = False
     while True:
@@ -470,12 +468,10 @@ def play_match(
             state = GameState(move, state.mouse, MOUSE)
         else:
             state = GameState(state.cat, move, CAT)
-        states.append(state)
     return MatchTranscript(
         moves=tuple(moves),
         result=result,
         reason=reason,
-        states=tuple(states),
         gave_up=gave_up,
     )
 

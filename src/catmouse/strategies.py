@@ -30,7 +30,6 @@ from .reduction import (
     MOUSE_SIDE,
     LEFT,
     RIGHT,
-    ROLE_ESCAPE,
     ROLE_GADGET,
     ROLE_INPUT,
     _child_target,
@@ -112,9 +111,6 @@ def make_true_path_mouse(instance: GameInstance, cmap, circuit: Circuit, bits):
             return [_child_target(child, MOUSE_SIDE), escape_node(role.gate, branch, 1)]
         if role.kind == ROLE_INPUT:
             return [graph.h if values[input_ref(role.index)] else graph.d]
-        if role.kind == ROLE_ESCAPE:
-            nxt = escape_node(role.gate, role.branch, role.chain + 1)
-            return [nxt if graph.has_node(nxt) else graph.h]
         return []
 
     def safe(target: str, cat: str) -> bool:

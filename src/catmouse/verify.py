@@ -8,11 +8,12 @@ against each other and checks the match ends the way the plans promise: on
 a true circuit the Mouse reaches the hole in exactly two plies per level, on
 a false one the Cat captures.
 
-``check_structure`` builds the board and audits it against the census the
-circuit alone predicts (node, edge, threat and guard counts, the stalk, the
-levels of c, m and h, the sinks, the copy partners, the escape chains).  The
-layer geometry and the copy pairing are not audited again: the builder's
-``validate_graph`` enforces them on every board.
+``audit_board`` checks a built board against the census the circuit alone
+predicts (node, edge, threat and guard counts, the stalk, the levels of c, m
+and h, the sinks, the copy partners, the escape chains).  The layer geometry
+and the copy pairing are not audited again: the builder's ``validate_graph``
+enforces them on every board.  ``check_structure`` is build-then-audit, kept
+for the benchmark, which calls it with a circuit, bits and a mode.
 
 ``undirected_probes`` plays deviating strategies on the undirected graph:
 three Mouse cheats (stepping backwards, crossing into the Cat copy over a
@@ -82,7 +83,7 @@ class VerificationReport:
         return not self.violations
 
 
-def _bits_text(circuit: Circuit, bits) -> str:
+def _bits_text(bits) -> str:
     if isinstance(bits, str):
         return bits
     return "".join("1" if b else "0" for b in bits)
@@ -99,7 +100,8 @@ def verify_equivalence(
     for mode in modes:
         graph, cmap = BUILDERS[mode](circuit, bits)
         violations.extend(
-            f"structure[{mode}]: {p}" for p in _audit(graph, cmap, circuit, bits)
+            f"structure[{mode}]: {p}"
+            for p in audit_board(graph, cmap, circuit, bits)
         )
         inst = GameInstance.from_game_graph(graph)
         solution = solve(inst)
@@ -146,7 +148,7 @@ def verify_equivalence(
                 f"{mode}: scripted loss by {transcript.reason}, not capture"
             )
     return VerificationReport(
-        bits=_bits_text(circuit, bits),
+        bits=_bits_text(bits),
         circuit_value=value,
         outcomes=outcomes,
         scripted=scripted,
@@ -156,10 +158,10 @@ def verify_equivalence(
 
 def check_structure(circuit: Circuit, bits, mode: str) -> list[str]:
     """Build the ``mode`` board and list every mismatch the audit finds."""
-    return _audit(*BUILDERS[mode](circuit, bits), circuit, bits)
+    return audit_board(*BUILDERS[mode](circuit, bits), circuit, bits)
 
 
-def _audit(graph, cmap, circuit: Circuit, bits) -> list[str]:
+def audit_board(graph, cmap, circuit: Circuit, bits) -> list[str]:
     """Compare a built board with the census the circuit alone predicts."""
     layers = validate_layers(circuit)
     depth = layers[circuit.output]

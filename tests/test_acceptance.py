@@ -42,7 +42,7 @@ from catmouse.solver import (
     solve,
 )
 from catmouse.strategies import StrategyError, make_mirror_cat, make_true_path_mouse
-from catmouse.verify import check_structure, fuzz_equivalence, undirected_probes
+from catmouse.verify import audit_board, fuzz_equivalence, undirected_probes
 
 from conftest import random_arena, random_placement
 
@@ -110,7 +110,7 @@ def _sweep_instance(results, tag, circuit, bits, mode, value):
         results.equivalence_violations.append(f"{tag}: solver says {out.value}, circuit value {value}")
 
     # Criterion 3: structural invariants on this built instance.
-    for problem in check_structure(circuit, bits, mode):
+    for problem in audit_board(graph, cmap, circuit, bits):
         results.structure_violations.append(f"{tag}: {problem}")
 
     # Criterion 4: scripted strategies against optimal opposition, then

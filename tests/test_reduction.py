@@ -330,3 +330,20 @@ class TestExportImport:
             for _ in range(3)
         }
         assert len(texts) == 1
+
+
+@pytest.mark.parametrize("build", [build_directed, build_undirected])
+def test_escape_nodes_have_one_forward_move(build):
+    # The marching Mouse relies on this: on an escape node its generic
+    # forward rule has a single choice, the next chain node or the hole.
+    circuit = parse_circuit(THREE_GATE)
+    for k in range(2 ** circuit.num_inputs):
+        graph, cmap = build(circuit, format(k, "03b"))
+        for node in graph.nodes:
+            role = graph.role(node)
+            if role.kind != ROLE_ESCAPE:
+                continue
+            forward = [v for v in graph.neighbors_out(node)
+                       if cmap.layer[v] == cmap.layer[node] - 1]
+            nxt = f"{role.gate}.esc.{role.branch}.{role.chain + 1}"
+            assert forward == [nxt if graph.has_node(nxt) else graph.h], node

@@ -6,6 +6,7 @@ from catmouse.circuits import parse_circuit
 from catmouse.cli import main
 from catmouse.verify import (
     FuzzFailure,
+    audit_board,
     check_structure,
     fuzz_equivalence,
     undirected_probes,
@@ -25,6 +26,17 @@ THREE_GATE = (
 
 def all_bits(num_inputs):
     return ["".join(p) for p in itertools.product("01", repeat=num_inputs)]
+
+
+def count_builds(monkeypatch):
+    """Wrap every ``reduction.BUILDERS`` value; return the list of modes built."""
+    calls = []
+    for mode, build in list(reduction.BUILDERS.items()):
+        def counted(circuit, bits, mode=mode, build=build):
+            calls.append(mode)
+            return build(circuit, bits)
+        monkeypatch.setitem(reduction.BUILDERS, mode, counted)
+    return calls
 
 
 class TestVerifyEquivalence:
@@ -85,6 +97,28 @@ class TestCheckStructure:
         path.write_text(ONE_AND)
         assert main(["verify", str(path), "11", "--mode", "directed"]) == 1
         assert "violation structure[directed]: " in capsys.readouterr().out
+        graph, cmap = broken(circuit, "11")
+        problems = audit_board(graph, cmap, circuit, "11")
+        assert any(p.startswith("edge count ") for p in problems), problems
+
+
+class TestBuildsPerCall:
+    def test_verify_builds_each_mode_once(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        assert verify_equivalence(parse_circuit(THREE_GATE), "011").ok
+        assert sorted(calls) == ["directed", "undirected"]
+
+    def test_check_structure_builds_once(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        assert check_structure(parse_circuit(THREE_GATE), "011", "undirected") == []
+        assert calls == ["undirected"]
+
+    def test_audit_board_builds_nothing(self, monkeypatch):
+        circuit = parse_circuit(THREE_GATE)
+        graph, cmap = reduction.build_directed(circuit, "011")
+        calls = count_builds(monkeypatch)
+        assert audit_board(graph, cmap, circuit, "011") == []
+        assert calls == []
 
 
 class TestUndirectedProbes:
