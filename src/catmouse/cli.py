@@ -87,7 +87,7 @@ def _parse_state(raw: str) -> GameState:
 def _cmd_solve(args) -> int:
     graph, _cmap = import_graph(_read_text(args.graph))
     instance = GameInstance.from_game_graph(graph)
-    state = _parse_state(args.state) if args.state else instance.initial_state()
+    state = _parse_state(args.state) if args.state is not None else instance.initial_state()
     solution = solve(instance)
     value = solution.value(state)
     print(f"outcome {value.value}")

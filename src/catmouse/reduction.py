@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuits import Circuit, evaluate, input_ref, is_input_ref, validate_layers
+from .circuits import AND, Circuit, evaluate, input_ref, is_input_ref, validate_layers
 from .solver import Graph
 
 CAT_SIDE = "C"
@@ -100,18 +100,6 @@ class NodeRole:
     chain: int | None = None
 
 
-def gadget_role(gate: str, position: int, side: str) -> NodeRole:
-    return NodeRole(ROLE_GADGET, gate=gate, position=position, side=side)
-
-
-def input_role(index: int, side: str) -> NodeRole:
-    return NodeRole(ROLE_INPUT, index=index, side=side)
-
-
-def escape_role(gate: str, branch: str, chain: int) -> NodeRole:
-    return NodeRole(ROLE_ESCAPE, gate=gate, branch=branch, chain=chain)
-
-
 def gadget_node(gate: str, side: str, position: int) -> str:
     return f"{gate}.{side}.{position}"
 
@@ -122,6 +110,13 @@ def input_node(index: int, side: str) -> str:
 
 def escape_node(gate: str, branch: str, chain: int) -> str:
     return f"{gate}.esc.{branch}.{chain}"
+
+
+def child_node(ref: str, side: str) -> str:
+    """The node a gadget's bottom edge enters for child ``ref``."""
+    if is_input_ref(ref):
+        return f"{ref}.{side}"
+    return gadget_node(ref, side, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +158,6 @@ def layer_of(cmap: CorrespondenceMap, node: str) -> int:
         raise UnknownNodeError(node) from None
 
 
-def _child_target(ref: str, side: str) -> str:
-    if is_input_ref(ref):
-        return f"{ref}.{side}"
-    return gadget_node(ref, side, 1)
-
-
 def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, CorrespondenceMap]:
     layers = validate_layers(circuit)
     depth = layers[circuit.output]
@@ -178,6 +167,12 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
     roles: dict[str, NodeRole] = {}
     layer: dict[str, int] = {}
     cat_of: dict[str, str] = {}
+    edges: list[tuple[str, str, str]] = [
+        ("c", gadget_node(circuit.output, CAT_SIDE, 1), TAG_OPENING)]
+    # Input edges follow the gates' edges; top[ref, side] names the node an
+    # edge into child ``ref`` enters, so no name is formatted twice.
+    input_edges: list[tuple[str, str, str]] = []
+    top: dict[tuple[str, str], str] = {}
 
     def add(node: str, role: NodeRole, lvl: int):
         nodes.append(node)
@@ -188,61 +183,49 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
     add("h", NodeRole(ROLE_HOLE), 0)
     add("d", NodeRole(ROLE_DEAD_END), 0)
     for i in range(circuit.num_inputs):
+        ref = input_ref(i)
         for side in (MOUSE_SIDE, CAT_SIDE):
-            add(input_node(i, side), input_role(i, side), 1)
-        cat_of[input_node(i, MOUSE_SIDE)] = input_node(i, CAT_SIDE)
+            top[ref, side] = input_node(i, side)
+            add(top[ref, side], NodeRole(ROLE_INPUT, index=i, side=side), 1)
+        mouse, cat = top[ref, MOUSE_SIDE], top[ref, CAT_SIDE]
+        cat_of[mouse] = cat
+        if values[ref]:
+            input_edges += [(mouse, "h", TAG_TO_HOLE), (cat, "h", TAG_TO_HOLE)]
+        else:
+            input_edges.append((mouse, "d", TAG_TO_DEAD_END))
+        input_edges.append((cat, "d", TAG_TO_DEAD_END))
 
     # Node layers inside a depth-j gadget: 3j+1 / 3j / 3j-1 top to bottom.
     pos_layer = {1: 1, 2: 0, 3: 0, 4: -1, 5: -1}
     for gate in circuit.gates:
         j = layers[gate.id]
+        gadget = {}
         for side in (MOUSE_SIDE, CAT_SIDE):
-            for pos in range(1, 6):
-                add(gadget_node(gate.id, side, pos),
-                    gadget_role(gate.id, pos, side),
+            names = gadget[side] = {pos: gadget_node(gate.id, side, pos)
+                                    for pos in range(1, 6)}
+            for pos, node in names.items():
+                add(node, NodeRole(ROLE_GADGET, gate=gate.id, position=pos, side=side),
                     3 * j + pos_layer[pos])
-        for pos in range(1, 6):
-            cat_of[gadget_node(gate.id, MOUSE_SIDE, pos)] = \
-                gadget_node(gate.id, CAT_SIDE, pos)
-        for branch in (LEFT, RIGHT):
-            for t in range(1, 3 * j - 1):
-                add(escape_node(gate.id, branch, t),
-                    escape_role(gate.id, branch, t),
-                    3 * j - 1 - t)
-
-    edges: list[tuple[str, str, str]] = []
-    edges.append(("c", gadget_node(circuit.output, CAT_SIDE, 1), TAG_OPENING))
-    for gate in circuit.gates:
-        j = layers[gate.id]
-        for side in (MOUSE_SIDE, CAT_SIDE):
-            for a, b in _GADGET_EDGES:
-                edges.append((gadget_node(gate.id, side, a),
-                              gadget_node(gate.id, side, b), TAG_GADGET))
-            edges.append((gadget_node(gate.id, side, 4),
-                          _child_target(gate.left, side), TAG_INTER))
-            edges.append((gadget_node(gate.id, side, 5),
-                          _child_target(gate.right, side), TAG_INTER))
-        if gate.kind == "AND":
-            edges.append((gadget_node(gate.id, CAT_SIDE, 2),
-                          gadget_node(gate.id, MOUSE_SIDE, 5), TAG_THREAT))
-            edges.append((gadget_node(gate.id, CAT_SIDE, 3),
-                          gadget_node(gate.id, MOUSE_SIDE, 4), TAG_THREAT))
+            top[gate.id, side] = names[1]
+            edges += [(names[a], names[b], TAG_GADGET) for a, b in _GADGET_EDGES]
+            edges.append((names[4], top[gate.left, side], TAG_INTER))
+            edges.append((names[5], top[gate.right, side], TAG_INTER))
+        mouse, cat = gadget[MOUSE_SIDE], gadget[CAT_SIDE]
+        cat_of.update((mouse[pos], cat[pos]) for pos in range(1, 6))
+        if gate.kind == AND:
+            edges.append((cat[2], mouse[5], TAG_THREAT))
+            edges.append((cat[3], mouse[4], TAG_THREAT))
         # Escape chains: the route from the bottom of the gadget to h has as
         # many edges as a forward route (3j-1), so the chain has 3j-2 nodes.
         for branch, pos in ((LEFT, 4), (RIGHT, 5)):
             chain = [escape_node(gate.id, branch, t) for t in range(1, 3 * j - 1)]
-            edges.append((gadget_node(gate.id, CAT_SIDE, pos), chain[0], TAG_ESCAPE))
-            edges.append((gadget_node(gate.id, MOUSE_SIDE, pos), chain[0], TAG_ESCAPE))
-            for a, b in zip(chain, chain[1:]):
-                edges.append((a, b, TAG_ESCAPE))
-            edges.append((chain[-1], "h", TAG_ESCAPE))
-    for i in range(circuit.num_inputs):
-        if values[input_ref(i)]:
-            edges.append((input_node(i, MOUSE_SIDE), "h", TAG_TO_HOLE))
-            edges.append((input_node(i, CAT_SIDE), "h", TAG_TO_HOLE))
-        else:
-            edges.append((input_node(i, MOUSE_SIDE), "d", TAG_TO_DEAD_END))
-        edges.append((input_node(i, CAT_SIDE), "d", TAG_TO_DEAD_END))
+            for t, node in enumerate(chain, start=1):
+                add(node, NodeRole(ROLE_ESCAPE, gate=gate.id, branch=branch, chain=t),
+                    3 * j - 1 - t)
+            edges.append((cat[pos], chain[0], TAG_ESCAPE))
+            edges.append((mouse[pos], chain[0], TAG_ESCAPE))
+            edges += [(a, b, TAG_ESCAPE) for a, b in zip(chain, chain[1:] + ["h"])]
+    edges += input_edges
 
     if not directed:
         # One guard edge per Mouse-copy edge m1 -> m2: connect m1 to the Cat
@@ -257,7 +240,7 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
         roles=roles,
         edges=tuple(edges),
         c="c",
-        m=gadget_node(circuit.output, MOUSE_SIDE, 1),
+        m=top[circuit.output, MOUSE_SIDE],
         h="h",
         d="d",
     )
@@ -313,17 +296,17 @@ def _role_from_tokens(tokens: list[str], lineno: int) -> NodeRole:
             gate, pos, side = tokens[1], int(tokens[2]), tokens[3]
             if pos not in range(1, 6) or side not in (CAT_SIDE, MOUSE_SIDE):
                 raise ValueError
-            return gadget_role(gate, pos, side)
+            return NodeRole(ROLE_GADGET, gate=gate, position=pos, side=side)
         if kind == ROLE_INPUT:
             index, side = int(tokens[1]), tokens[2]
             if side not in (CAT_SIDE, MOUSE_SIDE):
                 raise ValueError
-            return input_role(index, side)
+            return NodeRole(ROLE_INPUT, index=index, side=side)
         if kind == ROLE_ESCAPE:
             gate, branch, chain = tokens[1], tokens[2], int(tokens[3])
             if branch not in (LEFT, RIGHT):
                 raise ValueError
-            return escape_role(gate, branch, chain)
+            return NodeRole(ROLE_ESCAPE, gate=gate, branch=branch, chain=chain)
         if kind in (ROLE_CAT_START, ROLE_HOLE, ROLE_DEAD_END) and len(tokens) == 1:
             return NodeRole(kind)
     except (IndexError, ValueError):

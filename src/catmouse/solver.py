@@ -365,6 +365,10 @@ class _Arena:
 
         The first k predecessors of a slice come from ``states[:cut]``.
         """
+        # Lost and won states share one walk, split at ``cut``, so each slice
+        # pays its gathers and index arithmetic once for both.  A walk each
+        # is more code for no gain: on 941-node boards a two-walk ``_ply``
+        # timed 8-10% slower in one measurement and within noise in another.
         rows = states // self.n
         ends = self.row_deg[rows].cumsum()
         total = int(ends[-1])
@@ -415,23 +419,19 @@ def play_match(
     instance: GameInstance,
     cat_policy: Callable[[GameState], str | None],
     mouse_policy: Callable[[GameState], str | None],
-    max_plies: int | None = None,
     start: GameState | None = None,
 ) -> MatchTranscript:
     """Play the two policies against each other and score the result.
 
     Policies return the destination node or None to resign the move; a policy
     with no legal move loses.  Repetition of a (cat, mouse, turn) situation is
-    an immediate draw.  ``max_plies`` defaults high enough that repetition
-    always fires first.
+    an immediate draw, so every match ends by repetition at the latest: there
+    are only 2n² such situations on an n-node board.
     """
     graph = instance.graph
-    if max_plies is None:
-        max_plies = 2 * len(graph.nodes) ** 2 + 2
     state = start if start is not None else instance.initial_state()
     seen: set[GameState] = set()
     moves: list[tuple[int, str, str, str]] = []
-    ply = 0
     gave_up = False
     while True:
         status = classify(state, instance)
@@ -445,9 +445,6 @@ def play_match(
             result, reason = Outcome.DRAW, "repetition"
             break
         seen.add(state)
-        if ply >= max_plies:
-            result, reason = Outcome.DRAW, "ply-limit"
-            break
         mover = state.turn
         position = state.cat if mover == CAT else state.mouse
         legal = graph.neighbors_out(position)
@@ -462,8 +459,7 @@ def play_match(
             raise PolicyIllegalMoveError(
                 f"{mover} played {position!r} -> {move!r}, which is not an edge"
             )
-        ply += 1
-        moves.append((ply, mover, position, move))
+        moves.append((len(moves) + 1, mover, position, move))
         if mover == CAT:
             state = GameState(move, state.mouse, MOUSE)
         else:

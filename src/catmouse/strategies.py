@@ -32,7 +32,7 @@ from .reduction import (
     RIGHT,
     ROLE_GADGET,
     ROLE_INPUT,
-    _child_target,
+    child_node,
     escape_node,
     gadget_node,
 )
@@ -108,7 +108,7 @@ def make_true_path_mouse(instance: GameInstance, cmap, circuit: Circuit, bits):
                 return down
             child = gate.left if role.position == 4 else gate.right
             branch = LEFT if role.position == 4 else RIGHT
-            return [_child_target(child, MOUSE_SIDE), escape_node(role.gate, branch, 1)]
+            return [child_node(child, MOUSE_SIDE), escape_node(role.gate, branch, 1)]
         if role.kind == ROLE_INPUT:
             return [graph.h if values[input_ref(role.index)] else graph.d]
         return []

@@ -1,6 +1,9 @@
+import contextlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catmouse.cli import main
 
@@ -89,6 +92,13 @@ class TestSolve:
         graph_file = tmp_path / "game.graph"
         graph_file.write_text(capsys.readouterr().out)
         assert main(["solve", str(graph_file), "--state", "nonsense"]) == 2
+
+    def test_empty_state_is_a_usage_error(self, and_file, tmp_path, capsys):
+        main(["reduce", and_file, "00"])
+        graph_file = tmp_path / "game.graph"
+        graph_file.write_text(capsys.readouterr().out)
+        assert main(["solve", str(graph_file), "--state", ""]) == 2
+        assert "--state wants" in assert_one_line_error(capsys)
 
 
 class TestVerify:
@@ -239,3 +249,38 @@ class TestFailClean:
         path.write_text(and_chain_text(3000))
         assert main(["eval", str(path), "11"]) == 0
         assert capsys.readouterr().out == "1\n"
+
+
+SEEDS = st.integers(-2**70, 2**70)
+# Small enough to run fast: gen makes up to 2**layers gates, fuzz solves n
+# boards per mode.
+NUMERIC_OPTIONS = {
+    "gen": st.fixed_dictionaries(
+        {"--layers": st.integers(-2, 4), "--width": st.integers(-2, 4),
+         "--inputs": st.integers(-2, 6)},
+        optional={"--p-or": st.floats(), "--seed": SEEDS},
+    ),
+    "fuzz": st.fixed_dictionaries(
+        {"--n": st.integers(-2, 2)},
+        optional={"--seed": SEEDS, "--layers": st.integers(-2, 4),
+                  "--width": st.integers(-2, 4), "--inputs": st.integers(-2, 6)},
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NUMERIC_OPTIONS)).flatmap(
+    lambda command: st.tuples(st.just(command), NUMERIC_OPTIONS[command])))
+def test_numeric_option_edges_end_cleanly(case):
+    # --flag=value, so negative and non-finite numbers reach the program's
+    # own checks rather than argparse's option parser.
+    command, options = case
+    argv = [command] + [f"{flag}={value!r}" for flag, value in options.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv

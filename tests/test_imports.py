@@ -1,4 +1,5 @@
-"""Every imported name is used: a guard in place of a linter."""
+"""Every imported name is used, and no package module imports another's
+private name: guards in place of a linter."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,16 @@ def test_no_unused_imports():
              if p.name != "__init__.py"]
     assert paths
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+def private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.relative_to(ROOT)}:{node.lineno}: {node.module}.{alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_names_imported_across_package_modules():
+    paths = sorted(ROOT.glob("src/catmouse/*.py"))
+    assert paths
+    assert [u for p in paths for u in private_imports(p)] == []

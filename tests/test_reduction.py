@@ -1,5 +1,6 @@
 """Game-graph construction: gadgets, layers, threat/guard/escape edges."""
 
+import hashlib
 import re
 from collections import deque
 
@@ -347,3 +348,19 @@ def test_escape_nodes_have_one_forward_move(build):
                        if cmap.layer[v] == cmap.layer[node] - 1]
             nxt = f"{role.gate}.esc.{role.branch}.{role.chain + 1}"
             assert forward == [nxt if graph.has_node(nxt) else graph.h], node
+
+
+def test_board_text_is_pinned():
+    # `catmouse reduce` and bench/checker.py read this text, so its bytes
+    # are fixed: structured and dot exports of THREE_GATE under all eight
+    # assignments in both modes, hashed in that order.
+    circuit = parse_circuit(THREE_GATE)
+    digest = hashlib.sha256()
+    for k in range(2 ** circuit.num_inputs):
+        for build in (build_directed, build_undirected):
+            graph, cmap = build(circuit, format(k, "03b"))
+            for fmt in ("structured", "dot"):
+                digest.update(export_graph(graph, cmap, fmt).encode())
+    assert digest.hexdigest() == (
+        "6d259a327513b5a27391eb78160419d823148d6e5b124c92c725dc99503df101"
+    )

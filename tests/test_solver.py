@@ -368,14 +368,6 @@ class TestPlayMatch:
         with pytest.raises(PolicyIllegalMoveError):
             play_match(inst, lambda s: "h", lambda s: "h")
 
-    def test_ply_limit_draw(self):
-        inst = GameInstance(RING, "a", "c", "x")
-        policy = solve(inst).policy()
-        transcript = play_match(inst, policy, policy, max_plies=3)
-        assert transcript.result is Outcome.DRAW
-        assert transcript.reason == "ply-limit"
-        assert len(transcript.moves) == 3
-
     def test_start_override(self):
         g = line_graph(True, ("a", "b"), ("b", "h"))
         inst = GameInstance(g, "a", "b", "h")
