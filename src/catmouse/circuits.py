@@ -30,6 +30,9 @@ AND = "AND"
 OR = "OR"
 
 _INPUT_REF_RE = re.compile(r"i(0|[1-9][0-9]*)")
+# generate_random refuses a circuit of more inputs and gates than this with
+# InvalidParamsError, instead of running the host out of memory.
+MAX_SIZE = 100_000
 
 
 class CircuitError(Exception):
@@ -289,10 +292,24 @@ def evaluate(circuit: Circuit, bits) -> tuple[int, dict[str, bool]]:
     return int(values[circuit.output]), values
 
 
-def _layer_widths(layers: int, width: int) -> list[int]:
+def layer_widths(layers: int, width: int, num_inputs: int = 0) -> list[int]:
+    """Gates per layer, bottom first, of ``generate_random``'s circuits.
+
+    Raises InvalidParamsError, before building anything, when the
+    ``num_inputs`` inputs and the gates would exceed ``MAX_SIZE``.
+    """
     # Widths taper toward the single output gate so that every gate can be
-    # wired into some parent (a parent layer of w gates exposes 2w child slots).
-    return [min(width, 2 ** (layers - j)) for j in range(1, layers + 1)]
+    # wired into some parent (a parent layer of w gates exposes 2w child
+    # slots): layer j holds min(width, 2**(layers - j)) gates, so the top
+    # ``narrow`` layers hold 1, 2, 4, ... and the rest ``width`` each.
+    narrow = min(layers, (width - 1).bit_length())
+    gates = (1 << narrow) - 1 + (layers - narrow) * width
+    if num_inputs + gates > MAX_SIZE:
+        raise InvalidParamsError(
+            f"{num_inputs} inputs and {gates} gates exceed the limit of "
+            f"{MAX_SIZE} inputs and gates"
+        )
+    return [1 << k if k < narrow else width for k in range(layers - 1, -1, -1)]
 
 
 def generate_random(
@@ -319,7 +336,7 @@ def generate_random(
         raise InvalidParamsError("layers, width and num_inputs must be positive")
     if not 0.0 <= p_or <= 1.0:
         raise InvalidParamsError("p_or must lie in [0, 1]")
-    widths = _layer_widths(layers, width)
+    widths = layer_widths(layers, width, num_inputs)
     if fanout2 and not widths[0] <= num_inputs <= 2 * widths[0]:
         raise InvalidParamsError(
             f"fanout2 needs {widths[0]} <= num_inputs <= {2 * widths[0]} "

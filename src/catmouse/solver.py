@@ -6,7 +6,7 @@ players occupy the same node (even the hole), Mouse wins the moment it stands
 on the hole alone, and a repeated (cat, mouse, player-to-move) situation is a
 draw.  A player whose node has no outgoing edge loses.
 
-``solve`` runs retrograde analysis over all (cat, mouse, turn) states, the
+``solve`` runs retrograde analysis over (cat, mouse, turn) states, the
 classical attractor computation: terminal and stuck states are decided first,
 and each ply then looks only at the predecessors of the states the previous
 ply decided.  A predecessor is won for its mover as soon as one successor is
@@ -16,6 +16,16 @@ work is O(states + state edges), held in flat numpy arrays.  States never
 decided are draws, matching the classical equivalence with the
 repetition-draw rule.  The recorded distance is plies-to-termination under
 optimal play: winners minimize it, losers maximize it.
+
+No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
+period (see ``_Classes``), so the states fall into classes closed under
+moves both ways, and only the start's class comes up in play.  ``solve``
+decides that class alone; the first query of a state in another class
+decides all the others in one more run of the same plies.  The reduction's
+directed boards have period 0, and the start's class holds 9.0% of the
+states at 941 nodes and 7.5% at 2,881; undirected boards have period 2 and
+two classes; a self-loop or an odd cycle makes the period 1, one class
+holding every state.
 
 ``minimax_oracle`` independently evaluates small instances by plain
 depth-limited minimax over the move tree, deep enough that any forced win
@@ -160,12 +170,17 @@ _MOUSEWIN = 2
 
 class Solution:
     """Value, optimal-play distance and best moves for every state; the
-    tables are indexed [cat, mouse] by the graph's ``index``."""
+    tables are indexed [cat, mouse] by the graph's ``index``.
 
-    def __init__(self, instance, val_c, val_m, dist_c, dist_m):
+    ``solve`` leaves the states outside the start's class undecided; the
+    first query of one of them decides them all (``_complete``), once.
+    """
+
+    def __init__(self, instance, val_c, val_m, dist_c, dist_m, rest=None):
         self.instance = instance
         self._val = {CAT: val_c, MOUSE: val_m}
         self._dist = {CAT: dist_c, MOUSE: dist_m}
+        self._rest = rest
 
     def _locate(self, state: GameState) -> tuple[np.ndarray, np.ndarray, int, int]:
         if state.turn not in (CAT, MOUSE):
@@ -175,7 +190,23 @@ class Solution:
             ci, mi = index[state.cat], index[state.mouse]
         except KeyError as missing:
             raise InvalidInstanceError(f"unknown node {missing}") from None
+        rest = self._rest
+        if rest is not None and not rest.classes.holds_start(ci, mi, state.turn == MOUSE):
+            self._complete()
         return self._val[state.turn], self._dist[state.turn], ci, mi
+
+    def _complete(self) -> None:
+        """Decide the states of every class but the start's.
+
+        Classes are closed under moves both ways, so this pass neither reads
+        nor changes a state of the start's class.
+        """
+        rest, self._rest = self._rest, None
+        if rest is None:
+            return
+        _swap_mouse_block(rest.vals)
+        _attract(_Arena(self.instance.graph), rest.lost, rest.won, rest.vals, rest.dists)
+        _swap_mouse_block(rest.vals)
 
     def value(self, state: GameState) -> Outcome:
         val, _dist, ci, mi = self._locate(state)
@@ -242,7 +273,8 @@ _WON, _LOST = 1, 2
 
 
 def solve(instance: GameInstance) -> Solution:
-    """Retrograde analysis of the full (cat, mouse, turn) state space."""
+    """Retrograde analysis of the start's class of (cat, mouse, turn) states;
+    the returned ``Solution`` decides the other classes when first asked."""
     graph = instance.graph
     n = len(graph.nodes)
     need = 2 * n * n * _BYTES_PER_STATE
@@ -261,8 +293,6 @@ def solve(instance: GameInstance) -> Solution:
     # are (1 - t, b, x) for x into a.
     vals = np.zeros((2, n, n), dtype=np.int8)
     dists = np.empty((2, n, n), dtype=np.int32)
-    left = np.empty((2, n, n), dtype=np.int16)
-    left[...] = arena.out_deg
     diag = np.arange(n)
     others = diag != hole
     vals[0, diag, diag] = _WON
@@ -272,9 +302,28 @@ def solve(instance: GameInstance) -> Solution:
     # A player to move with no way out loses on the spot.
     vals[(vals == 0) & (arena.out_deg == 0)] = _LOST
 
+    val = vals.reshape(-1)
+    lost, won = np.flatnonzero(val == _LOST), np.flatnonzero(val == _WON)
+    classes = _Classes(arena, graph.index[instance.cat_start],
+                       graph.index[instance.mouse_start])
+    rest = None
+    if classes.period != 1:
+        lost_here, won_here = classes.of_start(lost), classes.of_start(won)
+        rest = _Rest(classes, vals, dists, lost[~lost_here], won[~won_here])
+        lost, won = lost[lost_here], won[won_here]
+    _attract(arena, lost, won, vals, dists)
+    _swap_mouse_block(vals)
+    return Solution(instance, vals[0].T, vals[1], dists[0].T, dists[1], rest)
+
+
+def _attract(arena, lost, won, vals, dists) -> None:
+    """Decide every state whose fate follows from the seed states ``lost``
+    and ``won`` (for their mover), values relative to the mover; states left
+    undecided get distance -1, the draws' distance."""
+    left = np.empty(vals.shape, dtype=np.int16)
+    left[...] = arena.out_deg
     val, dist, left = vals.reshape(-1), dists.reshape(-1), left.reshape(-1)
-    lost = np.flatnonzero(val == _LOST)
-    frontier = np.concatenate((lost, np.flatnonzero(val == _WON)))
+    frontier = np.concatenate((lost, won))
     n_lost = lost.size
     dist[frontier] = 0
     ply = 0
@@ -282,13 +331,81 @@ def solve(instance: GameInstance) -> Solution:
         ply += 1
         frontier, n_lost = _ply(arena, frontier, n_lost, val, left, dist)
         dist[frontier] = ply
-
-    # The working values were relative to the mover, who is the Cat in
-    # block 0 and the Mouse in block 1.  Draws get distance -1 over the
-    # stamps left on them.
-    np.subtract(_CATWIN + _MOUSEWIN, vals[1], out=vals[1], where=vals[1] != 0)
+    # Over the stamps left on the undecided states.
     dist[val == 0] = -1
-    return Solution(instance, vals[0].T, vals[1], dists[0].T, dists[1])
+
+
+def _swap_mouse_block(vals) -> None:
+    """Switch block 1 between values relative to its mover, the Mouse, and
+    the ``_CATWIN``/``_MOUSEWIN`` codes, either way; block 0, where the Cat
+    moves, reads the same in both.  Undecided states stay 0."""
+    np.subtract(_CATWIN + _MOUSEWIN, vals[1], out=vals[1], where=vals[1] != 0)
+
+
+class _Classes:
+    """The classes of states that moves never leave.
+
+    Every move u -> v has ``level[v] = level[u] + 1`` modulo ``period``
+    (exactly when it is 0), so ``level[cat] - level[mouse] - turn`` (turn 0
+    for the Cat to move, 1 for the Mouse) stays the same modulo ``period``
+    along any move.  The walk sets the levels along a spanning forest of the
+    undirected graph underneath, and the period is the gcd of the amounts by
+    which the other edges miss.
+    """
+
+    def __init__(self, arena, cat, mouse):
+        n, src, dst = arena.n, arena.src, arena.dst
+        # The undirected graph underneath as CSR: from either end of a move,
+        # the other end and the step in level toward it.
+        ends = np.concatenate((src, dst))
+        order = np.argsort(ends, kind="stable")
+        far = np.concatenate((dst, src))[order].tolist()
+        step = np.where(order < src.size, 1, -1).tolist()
+        first = np.concatenate(([0], np.bincount(ends, minlength=n).cumsum())).tolist()
+        level: list = [None] * n
+        for root in range(n):
+            if level[root] is not None:
+                continue
+            level[root] = 0
+            todo = [root]
+            while todo:
+                u = todo.pop()
+                for k in range(first[u], first[u + 1]):
+                    if level[far[k]] is None:
+                        level[far[k]] = level[u] + step[k]
+                        todo.append(far[k])
+        self.level = np.array(level, dtype=np.intp)
+        self.period = int(np.gcd.reduce(self.level[src] + 1 - self.level[dst]))
+        self._start = level[cat] - level[mouse]
+
+    def holds_start(self, cat: int, mouse: int, turn: int) -> bool:
+        """Whether the state is in the start's class."""
+        return self._same(self.level.item(cat) - self.level.item(mouse) - turn)
+
+    def of_start(self, states: np.ndarray) -> np.ndarray:
+        """Which of the flat state codes are in the start's class."""
+        n = self.level.size
+        turn, rest = np.divmod(states, n * n)
+        a, b = np.divmod(rest, n)
+        # b is the mover's node: the Cat's in block 0, the Mouse's in block 1.
+        lead = self.level[b] - self.level[a]
+        return self._same(np.where(turn == 0, lead, -lead) - turn)
+
+    def _same(self, key):
+        gap = key - self._start
+        return gap % self.period == 0 if self.period else gap == 0
+
+
+class _Rest(NamedTuple):
+    """What deciding the other classes needs besides the graph: the classes,
+    the whole (2, n, n) tables ``solve`` filled and the other classes' seeds.
+    The arena is built again, as keeping it costs more memory than time."""
+
+    classes: _Classes
+    vals: np.ndarray
+    dists: np.ndarray
+    lost: np.ndarray
+    won: np.ndarray
 
 
 def _ply(arena, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
@@ -347,9 +464,9 @@ class _Arena:
         codes = np.array(sorted({index[v] * n + ui for ui, u in enumerate(graph.nodes)
                                  for v in graph.neighbors_out(u)}), dtype=np.intp)
         self.n = n
-        self.src = codes % n
+        self.src, self.dst = codes % n, codes // n
         self.out_deg = np.bincount(self.src, minlength=n)
-        in_deg = np.bincount(codes // n, minlength=n)
+        in_deg = np.bincount(self.dst, minlength=n)
         self.row_deg = np.concatenate((in_deg, in_deg))
         ends = np.cumsum(in_deg)
         self.row_end = np.concatenate((ends, ends))

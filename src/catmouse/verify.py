@@ -36,6 +36,7 @@ from .circuits import (
     evaluate,
     generate_random,
     input_ref,
+    layer_widths,
     serialize_circuit,
     validate_layers,
 )
@@ -415,6 +416,8 @@ def fuzz_equivalence(
 ) -> FuzzReport:
     """Run ``verify_equivalence`` in both modes over ``n`` seeded random
     circuit-and-assignment pairs."""
+    # The largest circuit a trial may draw must be one generate_random makes.
+    layer_widths(max_layers, max_width, max_inputs)
     rng = random.Random(seed)
     failures: list[FuzzFailure] = []
     for trial in range(n):
@@ -423,7 +426,7 @@ def fuzz_equivalence(
         num_inputs = rng.randint(2, max_inputs)
         # Strict fanout 2 is only satisfiable when the first gate layer can
         # absorb every input; fall back to free fanout otherwise.
-        first_width = min(width, 2 ** (depth - 1))
+        first_width = layer_widths(depth, width)[0]
         fanout2 = (
             rng.random() < 0.25
             and first_width <= num_inputs <= 2 * first_width

@@ -6,6 +6,7 @@ import pytest
 
 from catmouse.circuits import (
     AND,
+    MAX_SIZE,
     OR,
     Circuit,
     CircuitError,
@@ -22,6 +23,7 @@ from catmouse.circuits import (
     evaluate,
     generate_random,
     input_ref,
+    layer_widths,
     parse_circuit,
     serialize_circuit,
     validate_layers,
@@ -256,6 +258,19 @@ class TestGenerate:
             generate_random(0, 1, 1, 0.5, seed=0)
         with pytest.raises(InvalidParamsError):
             generate_random(1, 1, 1, 1.5, seed=0)
+
+    def test_layer_widths_taper_to_one_output(self):
+        for layers in range(1, 12):
+            for width in range(1, 40):
+                want = [min(width, 2 ** (layers - j)) for j in range(1, layers + 1)]
+                assert layer_widths(layers, width) == want
+
+    def test_size_limit_counts_inputs_and_gates(self):
+        assert layer_widths(2, 3, MAX_SIZE - 3) == [2, 1]
+        with pytest.raises(InvalidParamsError):
+            layer_widths(2, 3, MAX_SIZE - 2)
+        with pytest.raises(InvalidParamsError):
+            generate_random(40, 10**8, 2, 0.5, seed=0)
 
 
 def test_programmatic_construction_checks_structure():

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,93 @@ from conftest import and_chain_text
 
 ONE_AND = "inputs 2\ngate g0 AND i0 i1\noutput g0\n"
 ONE_OR = "inputs 2\ngate g0 OR i0 i1\noutput g0\n"
+THREE_GATE = (
+    "inputs 3\n"
+    "gate a OR i0 i1\n"
+    "gate b AND i1 i2\n"
+    "gate c AND a b\n"
+    "output c\n"
+)
+
+# ``catmouse solve`` of the THREE_GATE boards for bits 011 from states that
+# play from the start never reaches, as the solver that decided every state
+# up front printed them.
+OFF_START_SOLVES = {
+    ("directed", "c,c.M.1,Mouse"): (
+        "outcome MouseWin\n"
+        "dist 13\n"
+        "ply 1 Mouse c.M.1 -> c.M.2\n"
+        "ply 2 Cat c -> c.C.1\n"
+        "ply 3 Mouse c.M.2 -> c.M.4\n"
+        "ply 4 Cat c.C.1 -> c.C.2\n"
+        "ply 5 Mouse c.M.4 -> a.M.1\n"
+        "ply 6 Cat c.C.2 -> c.C.4\n"
+        "ply 7 Mouse a.M.1 -> a.M.2\n"
+        "ply 8 Cat c.C.4 -> a.C.1\n"
+        "ply 9 Mouse a.M.2 -> a.M.4\n"
+        "ply 10 Cat a.C.1 -> a.C.2\n"
+        "ply 11 Mouse a.M.4 -> a.esc.L.1\n"
+        "ply 12 Cat a.C.2 -> a.C.4\n"
+        "ply 13 Mouse a.esc.L.1 -> h\n"
+        "result MouseWin hole\n"
+    ),
+    ("directed", "c.C.1,c.M.1,Cat"): (
+        "outcome CatWin\n"
+        "dist 14\n"
+        "ply 1 Cat c.C.1 -> c.C.2\n"
+        "ply 2 Mouse c.M.1 -> c.M.2\n"
+        "ply 3 Cat c.C.2 -> c.C.4\n"
+        "ply 4 Mouse c.M.2 -> c.M.4\n"
+        "ply 5 Cat c.C.4 -> a.C.1\n"
+        "ply 6 Mouse c.M.4 -> a.M.1\n"
+        "ply 7 Cat a.C.1 -> a.C.2\n"
+        "ply 8 Mouse a.M.1 -> a.M.2\n"
+        "ply 9 Cat a.C.2 -> a.C.5\n"
+        "ply 10 Mouse a.M.2 -> a.M.4\n"
+        "ply 11 Cat a.C.5 -> i1.C\n"
+        "ply 12 Mouse a.M.4 -> a.esc.L.1\n"
+        "ply 13 Cat i1.C -> h\n"
+        "ply 14 Mouse a.esc.L.1 -> h\n"
+        "result CatWin capture\n"
+    ),
+    ("directed", "a.C.2,b.M.4,Mouse"): (
+        "outcome MouseWin\n"
+        "dist 3\n"
+        "ply 1 Mouse b.M.4 -> b.esc.L.1\n"
+        "ply 2 Cat a.C.2 -> a.C.4\n"
+        "ply 3 Mouse b.esc.L.1 -> h\n"
+        "result MouseWin hole\n"
+    ),
+    ("undirected", "c,c.M.1,Mouse"): (
+        "outcome MouseWin\n"
+        "dist 13\n"
+        "ply 1 Mouse c.M.1 -> c.C.2\n"
+        "ply 2 Cat c -> c.C.1\n"
+        "ply 3 Mouse c.C.2 -> c.C.4\n"
+        "ply 4 Cat c.C.1 -> c\n"
+        "ply 5 Mouse c.C.4 -> a.C.1\n"
+        "ply 6 Cat c -> c.C.1\n"
+        "ply 7 Mouse a.C.1 -> a.C.2\n"
+        "ply 8 Cat c.C.1 -> c\n"
+        "ply 9 Mouse a.C.2 -> a.C.4\n"
+        "ply 10 Cat c -> c.C.1\n"
+        "ply 11 Mouse a.C.4 -> a.esc.L.1\n"
+        "ply 12 Cat c.C.1 -> c\n"
+        "ply 13 Mouse a.esc.L.1 -> h\n"
+        "result MouseWin hole\n"
+    ),
+    ("undirected", "c.C.1,c.M.1,Cat"): (
+        "outcome Draw\n"
+    ),
+    ("undirected", "a.C.2,b.M.4,Mouse"): (
+        "outcome MouseWin\n"
+        "dist 3\n"
+        "ply 1 Mouse b.M.4 -> b.esc.L.1\n"
+        "ply 2 Cat a.C.2 -> a.C.1\n"
+        "ply 3 Mouse b.esc.L.1 -> h\n"
+        "result MouseWin hole\n"
+    ),
+}
 
 
 @pytest.fixture
@@ -86,6 +174,16 @@ class TestSolve:
                      "--state", "g0.C.1,g0.M.1,Mouse"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "outcome CatWin"
+
+    @pytest.mark.parametrize("mode,state", list(OFF_START_SOLVES))
+    def test_states_outside_the_start_class(self, mode, state, tmp_path, capsys):
+        circuit_file = tmp_path / "three.circuit"
+        circuit_file.write_text(THREE_GATE)
+        main(["reduce", str(circuit_file), "011", "--mode", mode])
+        graph_file = tmp_path / "game.graph"
+        graph_file.write_text(capsys.readouterr().out)
+        assert main(["solve", str(graph_file), "--state", state]) == 0
+        assert capsys.readouterr().out == OFF_START_SOLVES[mode, state]
 
     def test_malformed_state_is_a_usage_error(self, and_file, tmp_path, capsys):
         main(["reduce", and_file, "00"])
@@ -201,6 +299,23 @@ class TestFailClean:
     def test_fuzz_rejects_out_of_range_sizes(self, flag, value, capsys):
         assert main(["fuzz", "--n", "1", flag, value]) == 2
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--layers", "40", "--width", "100000000", "--inputs", "2"],
+        ["gen", "--layers", "1000000000", "--width", "1", "--inputs", "2"],
+        ["gen", "--layers", "1", "--width", "1", "--inputs", "1000000000"],
+        ["fuzz", "--n", "1", "--layers", "40", "--width", "100000000", "--inputs", "2"],
+    ])
+    def test_oversized_circuits_are_refused_before_building(self, argv, capsys):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "limit" in assert_one_line_error(capsys)
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("argv", [
         ["eval"], ["reduce"], ["verify"], ["play", "--as", "mouse"],

@@ -1,7 +1,8 @@
 """The frontier solver against the sparse-matrix solver it replaced.
 
 Both must produce the same value and distance tables, state for state, on
-ladder boards and on rough random arenas.
+ladder boards, on rough random arenas and on arenas whose moves keep the
+states in several classes, once the solution has decided every class.
 """
 
 import random
@@ -20,6 +21,7 @@ from reference_solver import solve as reference_solve
 
 def assert_same_tables(instance):
     got, want = solve(instance), reference_solve(instance)
+    got._complete()
     for turn in (CAT, MOUSE):
         for name, table, expected in (("value", got._val[turn], want._val[turn]),
                                       ("dist", got._dist[turn], want._dist[turn])):
@@ -81,3 +83,31 @@ def test_rough_random_arenas():
         cat, mouse, hole = random_placement(graph, seed)
         assert_same_tables(GameInstance(graph, cat, mouse, hole))
     assert min(seen.values()) >= 30, seen
+
+
+def layered_arena(seed, period):
+    """An arena on which every move goes one level up, counted modulo
+    ``period``: a graded DAG (0), a bipartite undirected graph (2) or a
+    directed graph around a 3-cycle (3)."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    nodes = tuple(f"v{i}" for i in range(n))
+    span = {0: 4, 2: 2, 3: 3}[period]
+    level = [k % span for k in range(span)] + [rng.randrange(span) for _ in range(n - span)]
+    edges = [(a, b) for a, la in zip(nodes, level) for b, lb in zip(nodes, level)
+             if (lb == la + 1 or period and lb == (la + 1) % period)
+             and rng.random() < 0.4]
+    # The first nodes hold one level each; chain them so no period is lost.
+    edges += [(nodes[k], nodes[k + 1]) for k in range(span - 1)]
+    if period == 3:
+        edges.append((nodes[2], nodes[0]))
+    return Graph(directed=period != 2, nodes=nodes, edges=tuple(edges))
+
+
+@pytest.mark.parametrize("period", [0, 2, 3])
+def test_arenas_of_several_classes(period):
+    for seed in range(60):
+        graph = layered_arena(seed, period)
+        instance = GameInstance(graph, *random_placement(graph, seed))
+        assert solve(instance)._rest.classes.period == period
+        assert_same_tables(instance)

@@ -1,9 +1,10 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from catmouse.circuits import parse_circuit
+from catmouse.circuits import generate_random, parse_circuit
 from catmouse.reduction import build_directed, build_undirected
 from catmouse.solver import (
     CAT,
@@ -402,6 +403,29 @@ class TestDeterminism:
                     assert first.value(state) is second.value(state)
                     assert first.dist(state) == second.dist(state)
                     assert first.best_move(state) == second.best_move(state)
+
+
+class TestStartClass:
+    """solve decides the start's class of states; the first query of a state
+    outside it decides the other classes."""
+
+    @pytest.mark.parametrize("builder", [build_directed, build_undirected])
+    def test_query_order_gives_the_same_tables(self, builder):
+        graph, _cmap = builder(generate_random(3, 4, 4, 0.5, seed=1), "1010")
+        inst = GameInstance.from_game_graph(graph)
+        start = inst.initial_state()
+        # One ply's parity off the start, so outside its class on both boards.
+        off = GameState(start.cat, start.mouse, MOUSE)
+        early, late = solve(inst), solve(inst)
+        early.value(off)
+        assert early._rest is None
+        late.value(start)
+        assert late._rest is not None
+        late.value(off)
+        assert late._rest is None
+        for turn in (CAT, MOUSE):
+            assert np.array_equal(early._val[turn], late._val[turn])
+            assert np.array_equal(early._dist[turn], late._dist[turn])
 
 
 class TestOnReductionGraphs:

@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 
-from catmouse import reduction
+from catmouse import reduction, solver, verify
 from catmouse.circuits import parse_circuit
 from catmouse.cli import main
 from catmouse.verify import (
@@ -170,3 +170,28 @@ class TestFuzz:
         assert text.startswith("# trial 3, bits 10\n")
         assert "# directed: solver says" in text
         assert text.endswith("output g0\n")
+
+
+def test_verify_decides_only_the_start_class(monkeypatch):
+    # verify reads only states that play from the start can reach, so none of
+    # its solutions decides the other classes.
+    completions, solutions = [], []
+    complete = solver.Solution._complete
+
+    def counted(self):
+        completions.append(self)
+        complete(self)
+
+    def recorded(instance):
+        solutions.append(solver.solve(instance))
+        return solutions[-1]
+
+    monkeypatch.setattr(solver.Solution, "_complete", counted)
+    monkeypatch.setattr(verify, "solve", recorded)
+    circuit = parse_circuit(THREE_GATE)
+    for bits in all_bits(3):
+        assert verify_equivalence(circuit, bits).ok
+    assert completions == []
+    # Each board had other classes to leave undecided.
+    assert len(solutions) == 16
+    assert all(solution._rest is not None for solution in solutions)
