@@ -12,10 +12,12 @@ and each ply then looks only at the predecessors of the states the previous
 ply decided.  A predecessor is won for its mover as soon as one successor is
 won for them; each successor won for the opponent lowers a per-state counter
 of remaining options, and a predecessor whose counter reaches 0 is lost.  All
-work is O(states + state edges), held in flat numpy arrays.  States never
-decided are draws, matching the classical equivalence with the
-repetition-draw rule.  The recorded distance is plies-to-termination under
-optimal play: winners minimize it, losers maximize it.
+work is O(states + state edges), held in flat numpy arrays.  Every value is
+recorded relative to the player to move, from the seeds to the ``Solution``
+that answers queries: won, lost, or 0 for undecided.  States never decided
+are draws, matching the classical equivalence with the repetition-draw rule.
+The recorded distance is plies-to-termination under optimal play: winners
+minimize it, losers maximize it.
 
 No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
 period (see ``_Classes``), so the states fall into classes closed under
@@ -164,13 +166,11 @@ def classify(state: GameState, instance: GameInstance) -> str:
     return OPEN
 
 
-_CATWIN = 1
-_MOUSEWIN = 2
-
-
 class Solution:
     """Value, optimal-play distance and best moves for every state; the
-    tables are indexed [cat, mouse] by the graph's ``index``.
+    tables are indexed [cat, mouse] by the graph's ``index``.  A value is 1
+    (``_WON``) or 2 (``_LOST``) for the player to move in that state, or 0
+    for a draw or a state not yet decided.
 
     ``solve`` leaves the states outside the start's class undecided; the
     first query of one of them decides them all (``_complete``), once.
@@ -202,20 +202,17 @@ class Solution:
         nor changes a state of the start's class.
         """
         rest, self._rest = self._rest, None
-        if rest is None:
-            return
-        _swap_mouse_block(rest.vals)
-        _attract(_Arena(self.instance.graph), rest.lost, rest.won, rest.vals, rest.dists)
-        _swap_mouse_block(rest.vals)
+        if rest is not None:
+            _attract(_Arena(self.instance.graph), rest.seeds, rest.vals, rest.dists)
 
     def value(self, state: GameState) -> Outcome:
         val, _dist, ci, mi = self._locate(state)
-        code = val[ci, mi]
-        if code == _CATWIN:
+        code = val.item(ci, mi)
+        if code == 0:
+            return Outcome.DRAW
+        if (code == _WON) == (state.turn == CAT):
             return Outcome.CAT_WIN
-        if code == _MOUSEWIN:
-            return Outcome.MOUSE_WIN
-        return Outcome.DRAW
+        return Outcome.MOUSE_WIN
 
     def dist(self, state: GameState) -> int | None:
         """Plies to termination under optimal play; None for draws."""
@@ -241,14 +238,15 @@ class Solution:
             return None
         _val, _dist, ci, mi = self._locate(state)
         graph, cat_moves = self.instance.graph, state.turn == CAT
-        after, wins = (MOUSE, _CATWIN) if cat_moves else (CAT, _MOUSEWIN)
+        after = MOUSE if cat_moves else CAT
         val, dist = self._val[after], self._dist[after]
         best = None
         for move in graph.neighbors_out(state.cat if cat_moves else state.mouse):
             cell = (graph.index[move], mi) if cat_moves else (ci, graph.index[move])
             code, plies = val.item(cell), dist.item(cell)
+            # A successor lost for the opponent, who moves there, is a win.
             # Every draw has distance -1, so draws tie on it.
-            rank = 0 if code == wins else 1 if code == 0 else 2
+            rank = 0 if code == _LOST else 1 if code == 0 else 2
             key = (rank, -plies if rank else plies, move)
             if best is None or key < best:
                 best = key
@@ -268,7 +266,7 @@ _BYTES_PER_STATE = 1 + 4 + 2
 _MAX_TABLE_BYTES = 2 * 2**30
 # Predecessors gathered at once; bounds the buffers of a ply.
 _SLICE = 1 << 16
-# Values while solving, relative to the player to move.
+# State values, relative to the player to move; 0 is a draw or undecided.
 _WON, _LOST = 1, 2
 
 
@@ -302,29 +300,27 @@ def solve(instance: GameInstance) -> Solution:
     # A player to move with no way out loses on the spot.
     vals[(vals == 0) & (arena.out_deg == 0)] = _LOST
 
-    val = vals.reshape(-1)
-    lost, won = np.flatnonzero(val == _LOST), np.flatnonzero(val == _WON)
+    seeds = np.flatnonzero(vals)
     classes = _Classes(arena, graph.index[instance.cat_start],
                        graph.index[instance.mouse_start])
     rest = None
     if classes.period != 1:
-        lost_here, won_here = classes.of_start(lost), classes.of_start(won)
-        rest = _Rest(classes, vals, dists, lost[~lost_here], won[~won_here])
-        lost, won = lost[lost_here], won[won_here]
-    _attract(arena, lost, won, vals, dists)
-    _swap_mouse_block(vals)
+        here = classes.of_start(seeds)
+        rest = _Rest(classes, vals, dists, seeds[~here])
+        seeds = seeds[here]
+    _attract(arena, seeds, vals, dists)
     return Solution(instance, vals[0].T, vals[1], dists[0].T, dists[1], rest)
 
 
-def _attract(arena, lost, won, vals, dists) -> None:
-    """Decide every state whose fate follows from the seed states ``lost``
-    and ``won`` (for their mover), values relative to the mover; states left
-    undecided get distance -1, the draws' distance."""
+def _attract(arena, seeds, vals, dists) -> None:
+    """Decide every state whose fate follows from the decided states
+    ``seeds``; states left undecided get distance -1, the draws' distance."""
     left = np.empty(vals.shape, dtype=np.int16)
     left[...] = arena.out_deg
     val, dist, left = vals.reshape(-1), dists.reshape(-1), left.reshape(-1)
-    frontier = np.concatenate((lost, won))
-    n_lost = lost.size
+    lost = val[seeds] == _LOST
+    frontier = np.concatenate((seeds[lost], seeds[~lost]))
+    n_lost = int(np.count_nonzero(lost))
     dist[frontier] = 0
     ply = 0
     while frontier.size:
@@ -333,13 +329,6 @@ def _attract(arena, lost, won, vals, dists) -> None:
         dist[frontier] = ply
     # Over the stamps left on the undecided states.
     dist[val == 0] = -1
-
-
-def _swap_mouse_block(vals) -> None:
-    """Switch block 1 between values relative to its mover, the Mouse, and
-    the ``_CATWIN``/``_MOUSEWIN`` codes, either way; block 0, where the Cat
-    moves, reads the same in both.  Undecided states stay 0."""
-    np.subtract(_CATWIN + _MOUSEWIN, vals[1], out=vals[1], where=vals[1] != 0)
 
 
 class _Classes:
@@ -404,8 +393,7 @@ class _Rest(NamedTuple):
     classes: _Classes
     vals: np.ndarray
     dists: np.ndarray
-    lost: np.ndarray
-    won: np.ndarray
+    seeds: np.ndarray
 
 
 def _ply(arena, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:

@@ -53,6 +53,7 @@ from .reduction import (
     build_undirected,
     escape_node,
     gadget_node,
+    node_count,
     stats,
 )
 from .solver import (
@@ -174,12 +175,7 @@ def audit_board(graph, cmap, circuit: Circuit, bits) -> list[str]:
     )
     problems: list[str] = []
 
-    expected_nodes = (
-        3
-        + 2 * circuit.num_inputs
-        + 10 * len(gates)
-        + sum(2 * (3 * layers[g.id] - 2) for g in gates)
-    )
+    expected_nodes = node_count(circuit, layers)
     if len(graph.nodes) != expected_nodes:
         problems.append(
             f"node count {len(graph.nodes)}, expected {expected_nodes}"

@@ -12,12 +12,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from catmouse.solver import (
-    _CATWIN,
-    _MOUSEWIN,
     GameInstance,
     Solution,
     SolverError,
 )
+
+# Values by winner; 0 is a draw.
+CATWIN = 1
+MOUSEWIN = 2
 
 
 def solve(instance: GameInstance) -> Solution:
@@ -49,21 +51,21 @@ def solve(instance: GameInstance) -> Solution:
     at_hole[:, hole] = True
     at_hole &= ~diag
     for val, dist in ((val_c, dist_c), (val_m, dist_m)):
-        val[diag] = _CATWIN
-        val[at_hole] = _MOUSEWIN
+        val[diag] = CATWIN
+        val[at_hole] = MOUSEWIN
         dist[diag | at_hole] = 0
     # A player to move with no way out loses on the spot.
     cat_stuck = (out_deg == 0)[:, None] & (val_c == 0)
-    val_c[cat_stuck] = _MOUSEWIN
+    val_c[cat_stuck] = MOUSEWIN
     dist_c[cat_stuck] = 0
     mouse_stuck = (out_deg == 0)[None, :] & (val_m == 0)
-    val_m[mouse_stuck] = _CATWIN
+    val_m[mouse_stuck] = CATWIN
     dist_m[mouse_stuck] = 0
 
-    cw_m = (val_m == _CATWIN).astype(np.float32)
-    mw_m = (val_m == _MOUSEWIN).astype(np.float32)
-    cw_c = (val_c == _CATWIN).astype(np.float32)
-    mw_c = (val_c == _MOUSEWIN).astype(np.float32)
+    cw_m = (val_m == CATWIN).astype(np.float32)
+    mw_m = (val_m == MOUSEWIN).astype(np.float32)
+    cw_c = (val_c == CATWIN).astype(np.float32)
+    mw_c = (val_c == MOUSEWIN).astype(np.float32)
 
     plies = 0
     limit = 2 * n * n + 4
@@ -83,10 +85,10 @@ def solve(instance: GameInstance) -> Solution:
         if not (new_cw_c.any() or new_mw_c.any()
                 or new_cw_m.any() or new_mw_m.any()):
             break
-        val_c[new_cw_c] = _CATWIN
-        val_c[new_mw_c] = _MOUSEWIN
-        val_m[new_cw_m] = _CATWIN
-        val_m[new_mw_m] = _MOUSEWIN
+        val_c[new_cw_c] = CATWIN
+        val_c[new_mw_c] = MOUSEWIN
+        val_m[new_cw_m] = CATWIN
+        val_m[new_mw_m] = MOUSEWIN
         dist_c[new_cw_c | new_mw_c] = plies
         dist_m[new_cw_m | new_mw_m] = plies
         cw_c[new_cw_c] = 1.0
@@ -94,4 +96,8 @@ def solve(instance: GameInstance) -> Solution:
         cw_m[new_cw_m] = 1.0
         mw_m[new_mw_m] = 1.0
 
+    # Solution takes values relative to the player to move, 1 won and 2
+    # lost: the Cat-to-move table already reads so, and in the Mouse-to-move
+    # table the two wins trade places.
+    val_m = np.where(val_m == 0, val_m, CATWIN + MOUSEWIN - val_m)
     return Solution(instance, val_c, val_m, dist_c, dist_m)

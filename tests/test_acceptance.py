@@ -42,7 +42,12 @@ from catmouse.solver import (
     solve,
 )
 from catmouse.strategies import StrategyError, make_mirror_cat, make_true_path_mouse
-from catmouse.verify import audit_board, fuzz_equivalence, undirected_probes
+from catmouse.verify import (
+    audit_board,
+    fuzz_equivalence,
+    undirected_probes,
+    verify_equivalence,
+)
 
 from conftest import random_arena, random_placement
 
@@ -310,3 +315,23 @@ def test_criterion_6_determinism_and_lossless_round_trips(sweep, corpus):
 
     # Seeded fuzzing is replayable end to end.
     assert fuzz_equivalence(5, seed=77) == fuzz_equivalence(5, seed=77)
+
+
+@pytest.mark.parametrize("layers", [8, 9, 10])
+def test_deep_ladders_check_out(layers):
+    """Layers 8-10, width 2: the equivalence holds, true and false, in both
+    modes, and an optimal and a scripted win each take 2*layer(m) plies."""
+    circuit = generate_random(layers, 2, 2, 0.5, seed=1)
+    for bits in ("11", "00"):
+        report = verify_equivalence(circuit, bits)
+        assert report.ok, report.violations
+        assert report.circuit_value == (bits == "11")
+    for mode in MODES:
+        graph, cmap = BUILDERS[mode](circuit, "11")
+        inst = GameInstance.from_game_graph(graph)
+        level = cmap.layer[graph.m]
+        assert solve(inst).dist(inst.initial_state()) == 2 * level
+        scripted = play_match(inst, make_mirror_cat(inst, cmap, circuit, "11"),
+                              make_true_path_mouse(inst, cmap, circuit, "11"))
+        assert (scripted.result, scripted.reason) == (Outcome.MOUSE_WIN, "hole")
+        assert len(scripted.moves) == 2 * level

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmouse.circuits import generate_random, serialize_circuit
 from catmouse.cli import main
 
 from conftest import and_chain_text
@@ -310,6 +311,28 @@ class TestFailClean:
         tracemalloc.start()
         try:
             code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "limit" in assert_one_line_error(capsys)
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "{path}", "11"],
+        ["verify", "{path}", "11"],
+        ["play", "{path}", "11", "--as", "mouse"],
+        ["fuzz", "--n", "1", "--layers", "1000", "--width", "1", "--inputs", "2"],
+    ])
+    def test_oversized_boards_are_refused_before_building(self, argv, tmp_path,
+                                                          capsys):
+        # 1,000 layers pass the circuit size limit, but their board would
+        # have 3,009,007 nodes; fuzz's first draw (seed 0) is 865 layers.
+        path = tmp_path / "chain.circuit"
+        path.write_text(serialize_circuit(generate_random(1000, 1, 2, 0.5, seed=0)))
+        tracemalloc.start()
+        try:
+            code = main([arg.format(path=path) for arg in argv])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

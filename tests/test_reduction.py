@@ -6,7 +6,8 @@ from collections import deque
 
 import pytest
 
-from catmouse.circuits import parse_circuit
+from catmouse import reduction
+from catmouse.circuits import parse_circuit, validate_layers
 from catmouse.reduction import (
     ROLE_ESCAPE,
     ROLE_GADGET,
@@ -23,8 +24,10 @@ from catmouse.reduction import (
     export_graph,
     import_graph,
     layer_of,
+    node_count,
     stats,
 )
+from catmouse.solver import TooLargeError
 
 ONE_AND = "inputs 2\ngate g0 AND i0 i1\noutput g0\n"
 ONE_OR = "inputs 2\ngate g0 OR i0 i1\noutput g0\n"
@@ -80,6 +83,16 @@ class TestDirectedShape:
         escape = 2 * 1 + 2 * 1 + 2 * 4
         assert escape == 12
         assert len(graph.nodes) == 10 * 3 + 2 * 3 + 3 + escape
+        assert node_count(circuit, validate_layers(circuit)) == len(graph.nodes)
+
+    @pytest.mark.parametrize("build", [build_directed, build_undirected])
+    def test_boards_over_the_node_limit_are_refused(self, build, monkeypatch):
+        circuit = parse_circuit(THREE_GATE)
+        monkeypatch.setattr(reduction, "MAX_NODES", 51)
+        assert len(build(circuit, "011")[0].nodes) == 51
+        monkeypatch.setattr(reduction, "MAX_NODES", 50)
+        with pytest.raises(TooLargeError, match="51 nodes"):
+            build(circuit, "011")
 
     def test_special_nodes_and_start_layers(self, one_and_true):
         graph, cmap = one_and_true
