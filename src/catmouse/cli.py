@@ -271,8 +271,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as err:
         detail = f": {err}" if str(err) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
-        return 2
+    # Printed after the handler frees the traceback and a half-built board.
+    print(f"error: out of memory{detail}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

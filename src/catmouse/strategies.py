@@ -92,6 +92,7 @@ def make_true_path_mouse(instance: GameInstance, cmap, circuit: Circuit, bits):
     """Mouse policy: safest preferred forward move, one level down per ply."""
     graph = instance.graph
     _out, values = evaluate(circuit, bits)
+    routes: dict[str, list[str]] = {}  # Mouse node: forward moves, preferred first
 
     def preferred(mouse: str) -> list[str]:
         role = graph.role(mouse)
@@ -120,13 +121,16 @@ def make_true_path_mouse(instance: GameInstance, cmap, circuit: Circuit, bits):
 
     def policy(state: GameState) -> str:
         mouse = state.mouse
-        level = cmap.layer[mouse]
-        forward = [v for v in sorted(graph.neighbors_out(mouse))
-                   if cmap.layer[v] == level - 1]
-        if not forward:
+        order = routes.get(mouse)
+        if order is None:
+            level = cmap.layer[mouse]
+            forward = [v for v in sorted(graph.neighbors_out(mouse))
+                       if cmap.layer[v] == level - 1]
+            order = [v for v in preferred(mouse) if v in forward]
+            order += [v for v in forward if v not in order]
+            routes[mouse] = order
+        if not order:
             raise NoSafeMoveError(f"mouse at {mouse} has no forward move")
-        order = [v for v in preferred(mouse) if v in forward]
-        order += [v for v in forward if v not in order]
         for target in order:
             if safe(target, state.cat):
                 return target

@@ -15,11 +15,9 @@ and the copy pairing are not audited again: the builder's ``validate_graph``
 enforces them on every board.  ``check_structure`` is build-then-audit, kept
 for the benchmark, which calls it with a circuit, bits and a mode.
 
-``undirected_probes`` plays deviating strategies on the undirected graph:
-three Mouse cheats (stepping backwards, crossing into the Cat copy over a
-threat edge, crossing over a guard edge) that must each be punished by
-capture on the very next ply, and a Cat tempo-waste (retreating to its
-previous node) that must still lose on a true circuit.
+``certify_strategy`` checks, with no solver, that a fixed policy beats every
+opposing line; the proof's two lemmas are such certificates, the mirror Cat
+on false instances and the marching Mouse on true ones.
 
 ``fuzz_equivalence`` runs ``verify_equivalence`` in both modes over seeded
 random circuits and returns serialized reproducers for any failure.
@@ -44,13 +42,11 @@ from .reduction import (
     BUILDERS,
     CAT_SIDE,
     MODES,
-    MOUSE_SIDE,
     ROLE_ESCAPE,
     ROLE_GADGET,
     ROLE_INPUT,
     TAG_GUARD,
     TAG_THREAT,
-    build_undirected,
     escape_node,
     gadget_node,
     node_count,
@@ -58,13 +54,14 @@ from .reduction import (
 )
 from .solver import (
     CAT,
+    MOUSE,
     GameInstance,
+    GameState,
     Outcome,
     play_match,
     solve,
 )
 from .strategies import (
-    NoMoveError,
     StrategyError,
     make_mirror_cat,
     make_true_path_mouse,
@@ -249,135 +246,90 @@ def audit_board(graph, cmap, circuit: Circuit, bits) -> list[str]:
 
 
 @dataclass(frozen=True)
-class ProbeResult:
-    """One deviating-strategy playout on the undirected graph."""
+class Certificate:
+    """The walk of one side's fixed policy against every opposing move:
+    ``walk`` maps each (cat, mouse, turn) state reached from the start to
+    the states its moves lead to.  ``shortest`` and ``longest`` count the
+    plies from the start to an end of play; a move closing a cycle ends no
+    line."""
 
-    name: str
-    fired: bool
-    ok: bool
-    detail: str = ""
+    side: str
+    walk: dict
+    states: int
+    shortest: int
+    longest: int
+    problems: tuple[str, ...]
 
-
-def _smallest_legal(graph, state):
-    mover_at = state.cat if state.turn == CAT else state.mouse
-    legal = sorted(graph.neighbors_out(mover_at))
-    return legal[0] if legal else None
-
-
-def _deviating_mouse(graph, base, trigger):
-    """Play ``base`` until ``trigger`` offers a move; then keep playing
-    whatever is legal.  Records the mouse-move number of the deviation."""
-    memo = {"prev": None, "moves": 0, "fired_at": None}
-
-    def policy(state):
-        memo["moves"] += 1
-        if memo["fired_at"] is None:
-            deviation = trigger(state, memo["prev"], memo["moves"])
-            if deviation is not None:
-                memo["fired_at"] = memo["moves"]
-                return deviation
-            move = base(state)
-        else:
-            move = _smallest_legal(graph, state)
-        memo["prev"] = state.mouse
-        return move
-
-    return policy, memo
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
-def _probe_match(name, inst, cat, base, trigger):
-    mouse, memo = _deviating_mouse(inst.graph, base, trigger)
-    transcript = play_match(inst, cat, mouse)
-    if memo["fired_at"] is None:
-        return ProbeResult(name, fired=False, ok=True, detail="never fired")
-    # Mouse move k is overall ply 2k; the capture must be the very next ply.
-    expected_plies = 2 * memo["fired_at"] + 1
-    ok = (
-        transcript.result is Outcome.CAT_WIN
-        and transcript.reason == "capture"
-        and len(transcript.moves) == expected_plies
-    )
-    detail = (
-        f"deviation on mouse move {memo['fired_at']}: "
-        f"{transcript.result.value} by {transcript.reason} "
-        f"after {len(transcript.moves)} plies (expected {expected_plies})"
-    )
-    return ProbeResult(name, fired=True, ok=ok, detail=detail)
+def certify_strategy(instance: GameInstance, side: str, policy) -> Certificate:
+    """Check that ``policy`` wins for ``side`` against any opposition.
 
+    Fix ``side``'s moves to ``policy``, let the other side play every legal
+    move, and walk every state reachable from the start.  The policy wins
+    iff it never raises or plays an illegal move, every end of play reached
+    is ``side``'s win, and the walk has no cycle, through which the
+    opponent could force a repetition draw.  Each breach is one problem.
+    """
+    graph, hole = instance.graph, instance.hole
+    problems: list[str] = []
 
-def undirected_probes(circuit: Circuit, bits) -> list[ProbeResult]:
-    graph, cmap = build_undirected(circuit, bits)
-    inst = GameInstance.from_game_graph(graph)
-    # Both scripted policies are stateless, so every probe shares them.
-    base_cat = make_mirror_cat(inst, cmap, circuit, bits)
-    base_mouse = make_true_path_mouse(inst, cmap, circuit, bits)
-    results = []
+    def at(state) -> str:
+        return "cat {}, mouse {}, {} to move".format(*state)
 
-    def backtrack(state, prev, moves):
-        if moves >= 2 and prev is not None:
-            return prev
-        return None
-
-    results.append(
-        _probe_match("mouse-backtrack", inst, base_cat, base_mouse, backtrack)
-    )
-
-    def cross_threat(state, prev, moves):
-        role = graph.role(state.mouse)
-        if role.kind == ROLE_GADGET and role.position in (4, 5):
-            other = 3 if role.position == 4 else 2
-            target = gadget_node(role.gate, CAT_SIDE, other)
-            if target in graph.neighbors_out(state.mouse):
-                return target
-        return None
-
-    results.append(
-        _probe_match("mouse-cross-threat", inst, base_cat, base_mouse, cross_threat)
-    )
-
-    def cross_guard(state, prev, moves):
-        if moves < 2:
-            return None
-        role = graph.role(state.mouse)
-        if role.kind == ROLE_GADGET and role.side == MOUSE_SIDE:
-            for v in sorted(graph.neighbors_out(state.mouse)):
-                if v in cmap.mouse_of and cmap.layer[v] == cmap.layer[state.mouse] - 1:
-                    # A Cat-copy node one level down: only guard edges go there.
-                    return v
-        return None
-
-    results.append(
-        _probe_match("mouse-cross-guard", inst, base_cat, base_mouse, cross_guard)
-    )
-
-    # Cat tempo-waste: retreat on move 3, then resume shadowing if possible.
-    memo = {"moves": 0, "prev": None}
-
-    def wasting_cat(state):
-        memo["moves"] += 1
-        if memo["moves"] == 3 and memo["prev"] is not None:
-            move = memo["prev"]
-        else:
+    # States are plain (cat, mouse, turn) tuples, equal to the GameState of
+    # the same fields; only the policy is handed a GameState.
+    def successors(state: tuple) -> tuple[tuple, ...]:
+        cat, mouse, mover = state
+        if cat == mouse or mouse == hole:
+            # Capture takes precedence at the hole, as in ``classify``.
+            ended = "capture" if cat == mouse else "hole"
+            if (ended == "capture") != (side == CAT):
+                problems.append(f"{at(state)}: play ends by {ended}")
+            return ()
+        position = cat if mover == CAT else mouse
+        legal = graph.neighbors_out(position)
+        if mover == side:
+            if not legal:
+                problems.append(f"{at(state)}: {side} is stuck")
+                return ()
             try:
-                move = base_cat(state)
-            except NoMoveError:
-                move = _smallest_legal(graph, state)
-        memo["prev"] = state.cat
-        return move
+                move = policy(GameState(*state))
+            except Exception as err:
+                problems.append(f"{at(state)}: policy raised {type(err).__name__}: {err}")
+                return ()
+            if move not in legal:
+                problems.append(f"{at(state)}: policy played {position} -> {move}")
+                return ()
+            legal = (move,)
+        if mover == CAT:
+            return tuple([(v, mouse, MOUSE) for v in legal])
+        return tuple([(cat, v, CAT) for v in legal])
 
-    best_mouse = solve(inst).policy()
-    transcript = play_match(inst, wasting_cat, best_mouse)
-    value = bool(evaluate(circuit, bits)[0])
-    ok = transcript.result is Outcome.MOUSE_WIN if value else True
-    results.append(
-        ProbeResult(
-            "cat-backtrack",
-            fired=value and memo["moves"] >= 3,
-            ok=ok,
-            detail=f"{transcript.result.value} by {transcript.reason}",
-        )
-    )
-    return results
+    # Iterative depth-first walk.  A state gets its (fewest, most) plies to
+    # an end of play once all its successors have theirs, so a successor
+    # reached again before that is on the current line: a cycle.
+    start = tuple(instance.initial_state())
+    walk, span = {start: successors(start)}, {}
+    stack = [(start, iter(walk[start]))]
+    while stack:
+        state, todo = stack[-1]
+        for nxt in todo:
+            if nxt not in walk:
+                walk[nxt] = successors(nxt)
+                stack.append((nxt, iter(walk[nxt])))
+                break
+            if nxt not in span:
+                problems.append(f"{at(nxt)}: reached again, a cycle")
+        else:
+            stack.pop()
+            ends = [span[s] for s in walk[state] if s in span] or [(-1, -1)]
+            fewest, most = zip(*ends)
+            span[state] = (1 + min(fewest), 1 + max(most))
+    return Certificate(side, walk, len(walk), *span[start], tuple(problems))
 
 
 @dataclass(frozen=True)

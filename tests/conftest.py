@@ -2,7 +2,7 @@
 
 import random
 
-from catmouse.solver import Graph
+from catmouse.solver import MOUSE, Graph
 
 
 def random_arena(seed, n_max=7, directed=None):
@@ -41,3 +41,28 @@ def and_chain_text(depth):
     lines += [f"gate g{k} AND g{k - 1} g{k - 1}" for k in range(1, depth)]
     lines.append(f"output g{depth - 1}")
     return "\n".join(lines) + "\n"
+
+
+def off_plan_replies(cmap, certificate):
+    """Read the mirror Cat's walk for off-plan Mouse moves: a step up a level
+    or into the Cat copy.  Returns how many of each kind the walk holds and
+    the ones the Cat does not answer by capture on the very next ply."""
+    seen = {"up": 0, "cat copy": 0}
+    missed = []
+    walk = certificate.walk
+    for (cat, mouse, turn), nexts in walk.items():
+        if turn != MOUSE:
+            continue
+        for after in nexts:
+            to = after[1]
+            if cmap.layer[to] > cmap.layer[mouse]:
+                kind = "up"
+            elif to in cmap.mouse_of:
+                kind = "cat copy"
+            else:
+                continue
+            seen[kind] += 1
+            # Stepping onto the Cat is a capture already.
+            if cat != to and walk[after] != ((to, to, MOUSE),):
+                missed.append(f"mouse {mouse} -> {to}, cat on {cat}")
+    return seen, missed

@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +283,45 @@ class TestPlay:
         assert "input ended" in capsys.readouterr().err
 
 
+# Run by ``python -c``: cap the address space, then run ``catmouse`` with
+# ``reduce`` replaced by a command that fills memory.  Each link of its chain
+# is one allocation, (chain,) plus a filler tuple made in advance, so a
+# failed link frees nothing, and every size from 1 MiB down is used up.
+EXHAUSTING_CHILD = """
+import resource, sys
+from catmouse import cli
+
+FILLERS = [(None,) * ((1 << k) - 1) for k in range(17, -1, -1)]
+
+def fill(args):
+    box = MemoryError()
+    box.held = None
+    store = box.__dict__
+    try:
+        raise box
+    except MemoryError:
+        # Every MemoryError raised here has the handled one, and with it the
+        # chain, as its context; no frame refers to that one any more.
+        del box
+        for filler in FILLERS:
+            try:
+                while True:
+                    store["held"] = (store["held"],) + filler
+            except MemoryError:
+                pass
+        while True:
+            store["held"] = (store["held"],) + FILLERS[-2]
+
+cli._cmd_reduce = fill
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status
+                if line.startswith("VmSize:"))
+limit = (size + (32 << 10)) << 10
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -381,6 +424,24 @@ class TestFailClean:
         monkeypatch.setattr("catmouse.cli.solve", exhausted)
         assert main(["solve", str(graph_file)]) == 2
         assert "out of memory" in assert_one_line_error(capsys)
+
+    def test_out_of_memory_error_line_waits_for_the_memory_to_be_freed(self):
+        # The child caps its address space 32 MiB above what it holds once
+        # imported and runs ``reduce`` with a command that takes every byte
+        # left, held only by the MemoryError it ends with.  The error line
+        # can be printed only once the handler has let go of that error.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS") or not Path("/proc/self/status").exists():
+            pytest.skip("needs RLIMIT_AS and /proc/self/status")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = (src, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        run = subprocess.run(
+            [sys.executable, "-c", EXHAUSTING_CHILD, "reduce", "-", "11"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (
+            2, "", "error: out of memory\n")
 
     def test_deep_chain_evaluates(self, tmp_path, capsys):
         path = tmp_path / "chain.circuit"

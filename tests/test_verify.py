@@ -2,16 +2,20 @@ import dataclasses
 import itertools
 
 from catmouse import reduction, solver, verify
-from catmouse.circuits import parse_circuit
+from catmouse.circuits import evaluate, parse_circuit
 from catmouse.cli import main
+from catmouse.solver import CAT, MOUSE, GameInstance, Graph, Outcome
+from catmouse.strategies import make_mirror_cat, make_true_path_mouse
 from catmouse.verify import (
     FuzzFailure,
     audit_board,
+    certify_strategy,
     check_structure,
     fuzz_equivalence,
-    undirected_probes,
     verify_equivalence,
 )
+
+from conftest import off_plan_replies, random_arena, random_placement
 
 ONE_AND = "inputs 2\ngate g0 AND i0 i1\noutput g0\n"
 ONE_OR = "inputs 2\ngate g0 OR i0 i1\noutput g0\n"
@@ -121,33 +125,149 @@ class TestBuildsPerCall:
         assert calls == []
 
 
-class TestUndirectedProbes:
-    def test_every_probe_fires_and_is_punished_on_an_and_circuit(self):
-        circuit = parse_circuit(ONE_AND)
-        results = {p.name: p for p in undirected_probes(circuit, "11")}
-        assert set(results) == {
-            "mouse-backtrack",
-            "mouse-cross-threat",
-            "mouse-cross-guard",
-            "cat-backtrack",
-        }
-        for probe in results.values():
-            assert probe.fired, probe
-            assert probe.ok, probe
+def scripted_walks(circuit, bits, mode, cat=None):
+    """Build the ``mode`` board through ``reduction.BUILDERS``; return it,
+    its correspondence map, the certificate of the scripted side that should
+    win, and the walk of the Cat (the mirror Cat unless ``cat`` makes one)
+    against a free Mouse."""
+    graph, cmap = reduction.BUILDERS[mode](circuit, bits)
+    inst = GameInstance.from_game_graph(graph)
+    cat_policy = (cat or make_mirror_cat)(inst, cmap, circuit, bits)
+    cat_walk = certify_strategy(inst, CAT, cat_policy)
+    if evaluate(circuit, bits)[0]:
+        mouse = make_true_path_mouse(inst, cmap, circuit, bits)
+        return graph, cmap, certify_strategy(inst, MOUSE, mouse), cat_walk
+    return graph, cmap, cat_walk, cat_walk
 
-    def test_probes_fire_on_the_nested_circuit(self):
-        circuit = parse_circuit(THREE_GATE)
-        for probe in undirected_probes(circuit, "011"):
-            assert probe.ok, probe
-            assert probe.fired, probe
 
-    def test_threat_probe_cannot_fire_without_and_gates(self):
-        circuit = parse_circuit(ONE_OR)
-        results = {p.name: p for p in undirected_probes(circuit, "10")}
-        assert not results["mouse-cross-threat"].fired
-        assert results["mouse-cross-threat"].ok
-        assert results["mouse-backtrack"].fired
-        assert results["mouse-backtrack"].ok
+def drop_edges(monkeypatch, tag):
+    """Rebind both builders to drop every edge tagged ``tag``."""
+    for mode, build in list(reduction.BUILDERS.items()):
+        def broken(circuit, bits, build=build):
+            graph, cmap = build(circuit, bits)
+            edges = tuple(e for e in graph.edges if e[2] != tag)
+            return dataclasses.replace(graph, edges=edges), cmap
+        monkeypatch.setitem(reduction.BUILDERS, mode, broken)
+
+
+# False assignments where a false AND gadget has a true child, which only the
+# Cat's sealing move, over a threat edge, keeps the Mouse from.
+SEALED = ((ONE_AND, ("01", "10")), (THREE_GATE, ("001", "010", "100", "101", "110")))
+
+
+def shadowing_cat(instance, cmap, circuit, bits):
+    """A mirror Cat without the sealing move: capture, else shadow."""
+    graph = instance.graph
+
+    def policy(state):
+        if state.mouse in graph.neighbors_out(state.cat):
+            return state.mouse
+        return cmap.cat_of.get(state.mouse)
+
+    return policy
+
+
+class TestCertifyStrategy:
+    def test_scripted_sides_win_against_any_opposition(self):
+        for source in (ONE_AND, ONE_OR, THREE_GATE):
+            circuit = parse_circuit(source)
+            for bits in all_bits(circuit.num_inputs):
+                true = evaluate(circuit, bits)[0]
+                for mode in reduction.MODES:
+                    graph, cmap, cert, cat_walk = scripted_walks(circuit, bits, mode)
+                    assert cert.ok, (source, bits, mode, cert.problems)
+                    assert cert.side == (MOUSE if true else CAT)
+                    if true:
+                        # The mirror Cat cannot win a true instance, and
+                        # every line of the marching Mouse has one length.
+                        assert not cat_walk.ok
+                        level = cmap.layer[graph.m]
+                        assert (cert.shortest, cert.longest) == (2 * level, 2 * level)
+
+    def test_off_plan_mouse_moves_are_captured_next_ply(self):
+        for source in (ONE_AND, ONE_OR, THREE_GATE):
+            circuit = parse_circuit(source)
+            for bits in all_bits(circuit.num_inputs):
+                if not evaluate(circuit, bits)[0]:
+                    continue
+                _graph, cmap, _cert, cat_walk = scripted_walks(
+                    circuit, bits, "undirected")
+                seen, missed = off_plan_replies(cmap, cat_walk)
+                assert missed == [], (source, bits, missed)
+                assert min(seen.values()) > 0, (source, bits, seen)
+
+    def test_each_kind_of_problem_is_reported(self):
+        graph = Graph(True, ("c", "m", "x", "y", "h"),
+                      (("c", "x"), ("m", "h"), ("m", "x"), ("m", "y")))
+        inst = GameInstance(graph, "c", "m", "h")
+        to_hole = certify_strategy(inst, MOUSE, lambda state: "h")
+        assert to_hole.ok
+        assert (to_hole.states, to_hole.shortest, to_hole.longest) == (3, 2, 2)
+        for policy, problem in (
+            (lambda state: "x", "play ends by capture"),
+            (lambda state: "c", "policy played m -> c"),
+            (lambda state: None, "policy played m -> None"),
+            (lambda state: {}[state], "policy raised KeyError"),
+        ):
+            problems = certify_strategy(inst, MOUSE, policy).problems
+            assert len(problems) == 1
+            assert problems[0].split(": ", 1)[1].startswith(problem), problems
+        # The Cat must step to x, where it has no move left.
+        problems = certify_strategy(inst, CAT, lambda state: "x").problems
+        assert sorted(p.split(": ", 1)[1] for p in problems) == [
+            "Cat is stuck", "play ends by hole"]
+        ring = Graph(False, ("a", "b", "c", "d", "h"),
+                     (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))
+        chase = certify_strategy(GameInstance(ring, "a", "c", "h"), CAT,
+                                 lambda state: min(ring.neighbors_out(state.cat)))
+        assert chase.problems
+        assert all(p.endswith("reached again, a cycle") for p in chase.problems)
+
+    def test_certificates_agree_with_the_solver(self):
+        won = {Outcome.CAT_WIN: CAT, Outcome.MOUSE_WIN: MOUSE}
+        certified = []
+        for seed in range(80):
+            graph = random_arena(seed)
+            inst = GameInstance(graph, *random_placement(graph, 1000 + seed))
+            solution = solver.solve(inst)
+            winner = won.get(solution.outcome())
+            for side in (CAT, MOUSE):
+                cert = certify_strategy(inst, side, solution.policy())
+                assert cert.ok == (side == winner), (seed, side, cert.problems)
+                if cert.ok:
+                    certified.append(side)
+                    assert cert.longest == solution.dist(inst.initial_state())
+        assert certified.count(CAT) >= 10 and certified.count(MOUSE) >= 10
+
+    def test_dropped_guard_edges_are_reported(self, monkeypatch):
+        drop_edges(monkeypatch, reduction.TAG_GUARD)
+        for source in (ONE_AND, THREE_GATE):
+            circuit = parse_circuit(source)
+            for bits in all_bits(circuit.num_inputs):
+                _graph, cmap, cert, cat_walk = scripted_walks(
+                    circuit, bits, "undirected")
+                if evaluate(circuit, bits)[0]:
+                    assert off_plan_replies(cmap, cat_walk)[1], (source, bits)
+                else:
+                    assert not cert.ok, (source, bits)
+
+    def test_dropped_threat_edges_are_reported(self, monkeypatch):
+        drop_edges(monkeypatch, reduction.TAG_THREAT)
+        for source, sealed in SEALED:
+            circuit = parse_circuit(source)
+            for mode in reduction.MODES:
+                for bits in sealed:
+                    *_board, cert, _walk = scripted_walks(circuit, bits, mode)
+                    assert cert.side == CAT and not cert.ok, (source, bits, mode)
+
+    def test_a_cat_that_skips_the_sealing_move_is_reported(self):
+        for source, sealed in SEALED:
+            circuit = parse_circuit(source)
+            for mode in reduction.MODES:
+                for bits in sealed:
+                    *_board, cert, _walk = scripted_walks(
+                        circuit, bits, mode, cat=shadowing_cat)
+                    assert cert.side == CAT and not cert.ok, (source, bits, mode)
 
 
 class TestFuzz:
