@@ -154,11 +154,10 @@ def _stdin_policy(graph):
     """The human player: prompt on standard error, read moves from stdin."""
 
     def choose(state: GameState) -> str:
-        position = state.cat if state.turn == CAT else state.mouse
-        legal = sorted(graph.neighbors_out(position))
+        legal = sorted(graph.neighbors_out(state.position))
         while True:
             sys.stderr.write(
-                f"{state.turn} at {position}; legal: {', '.join(legal)}\n> "
+                f"{state.turn} at {state.position}; legal: {', '.join(legal)}\n> "
             )
             sys.stderr.flush()
             line = sys.stdin.readline()
@@ -177,8 +176,7 @@ def _announced(policy, plies):
 
     def choose(state: GameState) -> str | None:
         move = policy(state)
-        position = state.cat if state.turn == CAT else state.mouse
-        print(f"ply {next(plies)} {state.turn} {position} -> {move}")
+        print(f"ply {next(plies)} {state.turn} {state.position} -> {move}")
         return move
 
     return choose

@@ -157,13 +157,6 @@ class CorrespondenceMap:
     layer: dict[str, int]
 
 
-def layer_of(cmap: CorrespondenceMap, node: str) -> int:
-    try:
-        return cmap.layer[node]
-    except KeyError:
-        raise UnknownNodeError(node) from None
-
-
 def node_count(circuit: Circuit, layers: dict[str, int]) -> int:
     """Nodes of either board of ``circuit``, whose layers ``validate_layers``
     gave: c, h and d, two per input, five per gate in each copy, and two
@@ -386,10 +379,11 @@ def _export_dot(graph: GameGraph) -> str:
 def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
     """Parse the structured format back into a graph and its map.
 
-    Raises :class:`GraphSyntaxError` for malformed lines and
-    :class:`InconsistentGraphError` for structural violations (parallel
-    edges, edges that do not join adjacent layers, self-loops included, a
-    branched Cat stalk, or a broken Mouse/Cat pairing).
+    Raises :class:`GraphSyntaxError` for malformed lines and for a node's
+    layer or a special node given twice, and :class:`InconsistentGraphError`
+    for structural violations (parallel edges, edges that do not join
+    adjacent layers, self-loops included, a branched Cat stalk, or a broken
+    Mouse/Cat pairing).
     """
     directed: bool | None = None
     nodes: list[str] = []
@@ -434,6 +428,8 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
                 key, value = tok.split("=", 1)
                 if key not in ("c", "m", "h", "d") or value not in roles:
                     raise GraphSyntaxError(lineno, f"bad special {tok!r}")
+                if key in specials:
+                    raise GraphSyntaxError(lineno, f"special {key!r} given twice")
                 specials[key] = value
         elif keyword == "pair":
             if len(tokens) != 3:
@@ -451,6 +447,8 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
             node = tokens[1]
             if node not in roles:
                 raise InconsistentGraphError(f"layer for unknown node {node!r}")
+            if node in layer:
+                raise GraphSyntaxError(lineno, f"layer for {node!r} given twice")
             try:
                 layer[node] = int(tokens[2])
             except ValueError:

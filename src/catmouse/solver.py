@@ -45,10 +45,6 @@ import numpy as np
 CAT = "Cat"
 MOUSE = "Mouse"
 
-CAT_TERMINAL = "CatTerminal"
-MOUSE_TERMINAL = "MouseTerminal"
-OPEN = "Open"
-
 
 class Outcome(Enum):
     CAT_WIN = "CatWin"
@@ -73,9 +69,23 @@ class PolicyIllegalMoveError(SolverError):
 
 
 class GameState(NamedTuple):
+    """Both players' nodes and whose move it is; equal to the plain tuple."""
+
     cat: str
     mouse: str
     turn: str
+
+    @property
+    def position(self) -> str:
+        """The node of the player to move."""
+        return self.cat if self.turn == CAT else self.mouse
+
+    def after(self, move: str) -> GameState:
+        """The state once the player to move has stepped to ``move``."""
+        # tuple.__new__ skips the generated constructor and its extra call.
+        if self.turn == CAT:
+            return tuple.__new__(GameState, (move, self.mouse, MOUSE))
+        return tuple.__new__(GameState, (self.cat, move, CAT))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,20 +167,21 @@ class GameInstance:
         return GameState(self.cat_start, self.mouse_start, CAT)
 
 
-def classify(state: GameState, instance: GameInstance) -> str:
-    """Terminal status of a state; capture takes precedence at the hole."""
+def classify(state: GameState, instance: GameInstance) -> Outcome | None:
+    """The winner if play has ended in ``state``, else None; capture takes
+    precedence at the hole."""
     if state.cat == state.mouse:
-        return CAT_TERMINAL
+        return Outcome.CAT_WIN
     if state.mouse == instance.hole:
-        return MOUSE_TERMINAL
-    return OPEN
+        return Outcome.MOUSE_WIN
+    return None
 
 
 class Solution:
-    """Value, optimal-play distance and best moves for every state; the
-    tables are indexed [cat, mouse] by the graph's ``index``.  A value is 1
-    (``_WON``) or 2 (``_LOST``) for the player to move in that state, or 0
-    for a draw or a state not yet decided.
+    """Value and optimal-play distance of every state, and an optimal
+    policy; the tables are indexed [cat, mouse] by the graph's ``index``.
+    A value is 1 (``_WON``) or 2 (``_LOST``) for the player to move in that
+    state, or 0 for a draw or a state not yet decided.
 
     ``solve`` leaves the states outside the start's class undecided; the
     first query of one of them decides them all (``_complete``), once.
@@ -223,25 +234,20 @@ class Solution:
     def outcome(self) -> Outcome:
         return self.value(self.instance.initial_state())
 
-    def best_move(self, state: GameState) -> str | None:
-        """The policy's move in a decided open state: the winner's soonest
-        win or the loser's longest loss; None on terminal states, draws and
-        stuck states."""
-        if self.value(state) is Outcome.DRAW:
-            return None
-        return self._move(state)
-
     def _move(self, state: GameState) -> str | None:
         """The optimal move in an open state: the soonest win for the mover,
-        else any draw, else the longest loss; ties go to the smaller node id."""
-        if classify(state, self.instance) != OPEN:
+        else any draw, else the longest loss; ties go to the smaller node id.
+        None where play has ended or the mover is stuck."""
+        if classify(state, self.instance) is not None:
             return None
         _val, _dist, ci, mi = self._locate(state)
+        # Successors are read cell by cell: ``GameState.after`` and
+        # ``_locate`` per move timed up to a third slower in playouts.
         graph, cat_moves = self.instance.graph, state.turn == CAT
         after = MOUSE if cat_moves else CAT
         val, dist = self._val[after], self._dist[after]
         best = None
-        for move in graph.neighbors_out(state.cat if cat_moves else state.mouse):
+        for move in graph.neighbors_out(state.position):
             cell = (graph.index[move], mi) if cat_moves else (ci, graph.index[move])
             code, plies = val.item(cell), dist.item(cell)
             # A successor lost for the opponent, who moves there, is a win.
@@ -253,7 +259,8 @@ class Solution:
         return None if best is None else best[2]
 
     def policy(self) -> Callable[[GameState], str | None]:
-        """An optimal policy: follows best moves, preserves draws."""
+        """The optimal policy: the mover's soonest win, else a move that
+        keeps the draw, else its longest loss."""
         return self._move
 
 
@@ -508,16 +515,12 @@ class MatchTranscript:
     moves: tuple[tuple[int, str, str, str], ...]
     result: Outcome
     reason: str
-    gave_up: bool = False
 
     def text(self) -> str:
         lines = [f"ply {n} {player} {frm} -> {to}"
                  for n, player, frm, to in self.moves]
         lines.append(f"result {self.result.value} {self.reason}")
         return "\n".join(lines) + "\n"
-
-    def mouse_moves(self) -> int:
-        return sum(1 for _n, player, _f, _t in self.moves if player == MOUSE)
 
 
 def play_match(
@@ -528,53 +531,40 @@ def play_match(
 ) -> MatchTranscript:
     """Play the two policies against each other and score the result.
 
-    Policies return the destination node or None to resign the move; a policy
-    with no legal move loses.  Repetition of a (cat, mouse, turn) situation is
-    an immediate draw, so every match ends by repetition at the latest: there
-    are only 2n² such situations on an n-node board.
+    A policy returns the node its player moves to; anything but a legal
+    move, None included, raises ``PolicyIllegalMoveError``.  A player with
+    no legal move loses without its policy being asked.  Repetition of a
+    (cat, mouse, turn) situation is an immediate draw, so every match ends
+    by repetition at the latest: there are only 2n² such situations on an
+    n-node board.
     """
     graph = instance.graph
     state = start if start is not None else instance.initial_state()
     seen: set[GameState] = set()
     moves: list[tuple[int, str, str, str]] = []
-    gave_up = False
     while True:
-        status = classify(state, instance)
-        if status == CAT_TERMINAL:
-            result, reason = Outcome.CAT_WIN, "capture"
-            break
-        if status == MOUSE_TERMINAL:
-            result, reason = Outcome.MOUSE_WIN, "hole"
+        result = classify(state, instance)
+        if result is not None:
+            reason = "capture" if result is Outcome.CAT_WIN else "hole"
             break
         if state in seen:
             result, reason = Outcome.DRAW, "repetition"
             break
         seen.add(state)
-        mover = state.turn
-        position = state.cat if mover == CAT else state.mouse
+        mover, position = state.turn, state.position
         legal = graph.neighbors_out(position)
-        policy = cat_policy if mover == CAT else mouse_policy
-        move = policy(state) if legal else None
-        if move is None:
-            gave_up = bool(legal)
+        if not legal:
             result = Outcome.MOUSE_WIN if mover == CAT else Outcome.CAT_WIN
             reason = "stuck"
             break
+        move = (cat_policy if mover == CAT else mouse_policy)(state)
         if move not in legal:
             raise PolicyIllegalMoveError(
                 f"{mover} played {position!r} -> {move!r}, which is not an edge"
             )
         moves.append((len(moves) + 1, mover, position, move))
-        if mover == CAT:
-            state = GameState(move, state.mouse, MOUSE)
-        else:
-            state = GameState(state.cat, move, CAT)
-    return MatchTranscript(
-        moves=tuple(moves),
-        result=result,
-        reason=reason,
-        gave_up=gave_up,
-    )
+        state = state.after(move)
+    return MatchTranscript(tuple(moves), result, reason)
 
 
 _ORACLE_LIMIT = 10
@@ -597,11 +587,9 @@ def minimax_oracle(instance: GameInstance) -> Outcome:
     memo: dict[tuple[GameState, int], Outcome] = {}
 
     def search(state: GameState, plies_left: int) -> Outcome:
-        status = classify(state, instance)
-        if status == CAT_TERMINAL:
-            return Outcome.CAT_WIN
-        if status == MOUSE_TERMINAL:
-            return Outcome.MOUSE_WIN
+        winner = classify(state, instance)
+        if winner is not None:
+            return winner
         mover = state.turn
         position = state.cat if mover == CAT else state.mouse
         legal = graph.neighbors_out(position)

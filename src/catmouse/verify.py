@@ -54,10 +54,10 @@ from .reduction import (
 )
 from .solver import (
     CAT,
-    MOUSE,
     GameInstance,
     GameState,
     Outcome,
+    classify,
     play_match,
     solve,
 )
@@ -274,45 +274,39 @@ def certify_strategy(instance: GameInstance, side: str, policy) -> Certificate:
     is ``side``'s win, and the walk has no cycle, through which the
     opponent could force a repetition draw.  Each breach is one problem.
     """
-    graph, hole = instance.graph, instance.hole
-    problems: list[str] = []
+    graph, problems = instance.graph, []
+    win = Outcome.CAT_WIN if side == CAT else Outcome.MOUSE_WIN
 
     def at(state) -> str:
         return "cat {}, mouse {}, {} to move".format(*state)
 
-    # States are plain (cat, mouse, turn) tuples, equal to the GameState of
-    # the same fields; only the policy is handed a GameState.
-    def successors(state: tuple) -> tuple[tuple, ...]:
-        cat, mouse, mover = state
-        if cat == mouse or mouse == hole:
-            # Capture takes precedence at the hole, as in ``classify``.
-            ended = "capture" if cat == mouse else "hole"
-            if (ended == "capture") != (side == CAT):
+    def successors(state: GameState) -> tuple[GameState, ...]:
+        winner = classify(state, instance)
+        if winner is not None:
+            if winner is not win:
+                ended = "capture" if winner is Outcome.CAT_WIN else "hole"
                 problems.append(f"{at(state)}: play ends by {ended}")
             return ()
-        position = cat if mover == CAT else mouse
-        legal = graph.neighbors_out(position)
-        if mover == side:
+        legal = graph.neighbors_out(state.position)
+        if state.turn == side:
             if not legal:
                 problems.append(f"{at(state)}: {side} is stuck")
                 return ()
             try:
-                move = policy(GameState(*state))
+                move = policy(state)
             except Exception as err:
                 problems.append(f"{at(state)}: policy raised {type(err).__name__}: {err}")
                 return ()
             if move not in legal:
-                problems.append(f"{at(state)}: policy played {position} -> {move}")
+                problems.append(f"{at(state)}: policy played {state.position} -> {move}")
                 return ()
             legal = (move,)
-        if mover == CAT:
-            return tuple([(v, mouse, MOUSE) for v in legal])
-        return tuple([(cat, v, CAT) for v in legal])
+        return tuple([state.after(v) for v in legal])
 
     # Iterative depth-first walk.  A state gets its (fewest, most) plies to
     # an end of play once all its successors have theirs, so a successor
     # reached again before that is on the current line: a cycle.
-    start = tuple(instance.initial_state())
+    start = instance.initial_state()
     walk, span = {start: successors(start)}, {}
     stack = [(start, iter(walk[start]))]
     while stack:

@@ -413,6 +413,19 @@ class TestFailClean:
         assert main(["solve", str(path)]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("repeat", ["layer g0.M.1 7", "special m=g0.M.2"])
+    def test_repeated_line_in_a_board_is_rejected(self, and_file, repeat, tmp_path,
+                                                   capsys):
+        main(["reduce", and_file, "11"])
+        lines = capsys.readouterr().out.splitlines()
+        at = next(k for k, line in enumerate(lines)
+                  if line.startswith(repeat.rsplit(" ", 1)[0]))
+        lines.insert(at, repeat)
+        path = tmp_path / "repeat.graph"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["solve", str(path)]) == 2
+        assert "given twice" in assert_one_line_error(capsys)
+
     def test_out_of_memory_is_a_one_line_error(self, and_file, tmp_path, capsys,
                                                monkeypatch):
         def exhausted(_instance):

@@ -23,7 +23,6 @@ from catmouse.reduction import (
     build_undirected,
     export_graph,
     import_graph,
-    layer_of,
     node_count,
     stats,
 )
@@ -97,16 +96,16 @@ class TestDirectedShape:
     def test_special_nodes_and_start_layers(self, one_and_true):
         graph, cmap = one_and_true
         assert graph.m == "g0.M.1"
-        assert layer_of(cmap, graph.m) == 4
-        assert layer_of(cmap, graph.c) == 5
-        assert layer_of(cmap, graph.h) == 0
-        assert layer_of(cmap, graph.d) == 0
-        assert layer_of(cmap, "i0.M") == 1
+        assert cmap.layer[graph.m] == 4
+        assert cmap.layer[graph.c] == 5
+        assert cmap.layer[graph.h] == 0
+        assert cmap.layer[graph.d] == 0
+        assert cmap.layer["i0.M"] == 1
 
-    def test_layer_of_unknown_node(self, one_and_true):
-        _, cmap = one_and_true
+    def test_role_of_unknown_node(self, one_and_true):
+        graph, _ = one_and_true
         with pytest.raises(UnknownNodeError):
-            layer_of(cmap, "nope")
+            graph.role("nope")
 
     def test_every_edge_drops_exactly_one_layer(self):
         circuit = parse_circuit(THREE_GATE)
@@ -336,6 +335,19 @@ class TestExportImport:
         with pytest.raises(GraphSyntaxError) as err:
             import_graph("game directed\nnode a\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("first, repeat, named", [
+        ("layer g0.M.1 7", "layer g0.M.1 4", "'g0.M.1'"),
+        ("special m=g0.M.2", "special c=c", "special 'm'"),
+    ])
+    def test_repeated_line_is_rejected(self, one_and_true, first, repeat, named):
+        # The exported line that follows names the same thing again.
+        lines = export_graph(*one_and_true).splitlines()
+        at = next(k for k, line in enumerate(lines) if line.startswith(repeat))
+        lines.insert(at, first)
+        with pytest.raises(GraphSyntaxError, match=f"{named} given twice") as err:
+            import_graph("\n".join(lines))
+        assert err.value.line == at + 2
 
     def test_export_is_deterministic(self):
         circuit = parse_circuit(THREE_GATE)

@@ -8,10 +8,7 @@ from catmouse.circuits import generate_random, parse_circuit
 from catmouse.reduction import build_directed, build_undirected
 from catmouse.solver import (
     CAT,
-    CAT_TERMINAL,
     MOUSE,
-    MOUSE_TERMINAL,
-    OPEN,
     GameInstance,
     GameState,
     Graph,
@@ -25,6 +22,7 @@ from catmouse.solver import (
     play_match,
     solve,
 )
+from catmouse.verify import certify_strategy
 
 from conftest import random_arena, random_placement
 
@@ -55,16 +53,26 @@ RING = Graph(
 class TestClassify:
     def test_shared_node_is_capture(self):
         inst = SUICIDE
-        assert classify(GameState("y", "y", CAT), inst) == CAT_TERMINAL
+        assert classify(GameState("y", "y", CAT), inst) is Outcome.CAT_WIN
 
     def test_capture_outranks_hole(self):
-        assert classify(GameState("h", "h", MOUSE), SUICIDE) == CAT_TERMINAL
+        assert classify(GameState("h", "h", MOUSE), SUICIDE) is Outcome.CAT_WIN
 
     def test_mouse_alone_on_hole(self):
-        assert classify(GameState("x", "h", CAT), SUICIDE) == MOUSE_TERMINAL
+        assert classify(GameState("x", "h", CAT), SUICIDE) is Outcome.MOUSE_WIN
 
     def test_open_state(self):
-        assert classify(GameState("x", "y", CAT), SUICIDE) == OPEN
+        assert classify(GameState("x", "y", CAT), SUICIDE) is None
+
+
+def test_the_mover_steps_and_the_turn_passes():
+    cat_to_move = GameState("a", "b", CAT)
+    assert cat_to_move.position == "a"
+    assert cat_to_move.after("c") == GameState("c", "b", MOUSE)
+    mouse_to_move = GameState("a", "b", MOUSE)
+    assert mouse_to_move.position == "b"
+    # Equal and hash-equal to the plain tuple, as certificate walks rely on.
+    assert {("a", "c", CAT): 1}[mouse_to_move.after("c")] == 1
 
 
 class TestInstanceValidation:
@@ -118,7 +126,7 @@ class TestSolveSmall:
         sol = solve(inst)
         assert sol.outcome() is Outcome.CAT_WIN
         assert sol.dist(inst.initial_state()) == 1
-        assert sol.best_move(inst.initial_state()) == "b"
+        assert sol.policy()(inst.initial_state()) == "b"
 
     def test_separated_mouse_walks_home_in_two_plies(self):
         g = Graph(
@@ -136,7 +144,8 @@ class TestSolveSmall:
         sol = solve(inst)
         assert sol.outcome() is Outcome.DRAW
         assert sol.dist(inst.initial_state()) is None
-        assert sol.best_move(inst.initial_state()) is None
+        start = inst.initial_state()
+        assert sol.value(start.after(sol.policy()(start))) is Outcome.DRAW
 
     def test_adjacent_on_the_ring_is_capture(self):
         inst = GameInstance(RING, "a", "b", "x")
@@ -208,7 +217,7 @@ class TestLocalConsistency:
                 for m in graph.nodes:
                     for turn in (CAT, MOUSE):
                         state = GameState(c, m, turn)
-                        if classify(state, inst) != OPEN:
+                        if classify(state, inst) is not None:
                             continue
                         succ = self.successors(graph, state)
                         value = sol.value(state)
@@ -236,8 +245,8 @@ class TestLocalConsistency:
 
     def test_policy_follows_the_move_rule(self):
         """A won state moves to a win one ply nearer, a drawn one to a draw,
-        a lost one to a loss one ply nearer, each to the smallest such node;
-        best_move agrees with the policy on every decided state."""
+        a lost one to a loss one ply nearer, each to the smallest such
+        node."""
         for seed in range(25):
             graph = random_arena(seed)
             cat, mouse, hole = random_placement(graph, seed + 1000)
@@ -247,10 +256,8 @@ class TestLocalConsistency:
             for c, m, turn in itertools.product(graph.nodes, graph.nodes, (CAT, MOUSE)):
                 state = GameState(c, m, turn)
                 value, move = sol.value(state), policy(state)
-                if value is not Outcome.DRAW:
-                    assert sol.best_move(state) == move
                 succ = self.successors(graph, state)
-                if classify(state, inst) != OPEN or not succ:
+                if classify(state, inst) is not None or not succ:
                     continue
                 moves = graph.neighbors_out(c if turn == CAT else m)
                 nearer = None if value is Outcome.DRAW else sol.dist(state) - 1
@@ -342,14 +349,18 @@ class TestPlayMatch:
         transcript = play_match(inst, sol.policy(), sol.policy())
         assert transcript.result is Outcome.MOUSE_WIN
         assert transcript.reason == "hole"
-        assert transcript.mouse_moves() == 1
+        assert transcript.moves == ((1, CAT, "c1", "c2"), (2, MOUSE, "m1", "h"))
 
-    def test_stuck_policy_loses(self):
+    def test_none_move_is_illegal(self):
         inst = GameInstance(RING, "a", "c", "x")
-        transcript = play_match(inst, lambda s: None, solve(inst).policy())
-        assert transcript.result is Outcome.MOUSE_WIN
-        assert transcript.reason == "stuck"
-        assert transcript.gave_up
+
+        def give_up(_state):
+            return None
+
+        with pytest.raises(PolicyIllegalMoveError, match="-> None"):
+            play_match(inst, give_up, solve(inst).policy())
+        problems = certify_strategy(inst, CAT, give_up).problems
+        assert problems == ("cat a, mouse c, Cat to move: policy played a -> None",)
 
     def test_truly_stuck_player_loses_without_policy_call(self):
         g = Graph(directed=True, nodes=("a", "m1", "h"), edges=(("m1", "h"),))
@@ -361,7 +372,6 @@ class TestPlayMatch:
         transcript = play_match(inst, explode, lambda s: "h")
         assert transcript.result is Outcome.MOUSE_WIN
         assert transcript.reason == "stuck"
-        assert not transcript.gave_up
 
     def test_illegal_move_raises(self):
         g = line_graph(True, ("a", "b"), ("b", "h"))
@@ -402,7 +412,7 @@ class TestDeterminism:
                     state = GameState(c, m, turn)
                     assert first.value(state) is second.value(state)
                     assert first.dist(state) == second.dist(state)
-                    assert first.best_move(state) == second.best_move(state)
+                    assert first.policy()(state) == second.policy()(state)
 
 
 class TestStartClass:
