@@ -132,11 +132,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    limits = (("--n", args.n, 0), ("--layers", args.layers, 1),
-              ("--width", args.width, 1), ("--inputs", args.inputs, 2))
-    for flag, value, least in limits:
-        if value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
     report = fuzz_equivalence(
         args.n,
         seed=args.seed,

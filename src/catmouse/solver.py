@@ -178,22 +178,26 @@ def classify(state: GameState, instance: GameInstance) -> Outcome | None:
 
 
 class Solution:
-    """Value and optimal-play distance of every state, and an optimal
-    policy; the tables are indexed [cat, mouse] by the graph's ``index``.
-    A value is 1 (``_WON``) or 2 (``_LOST``) for the player to move in that
-    state, or 0 for a draw or a state not yet decided.
+    """Value and optimal-play distance of every state, and an optimal policy.
+
+    The (2, n, n) tables hold a state at [t, a, b]: t is 0 with the Cat to
+    move and 1 with the Mouse, b is the mover's node and a the other
+    player's, both by the graph's ``index``.  A value is 1 (``_WON``) or 2
+    (``_LOST``) for the player to move, or 0 for a draw or a state not yet
+    decided; their distance is -1.
 
     ``solve`` leaves the states outside the start's class undecided; the
     first query of one of them decides them all (``_complete``), once.
     """
 
-    def __init__(self, instance, val_c, val_m, dist_c, dist_m, rest=None):
+    def __init__(self, instance, vals, dists, rest=None):
         self.instance = instance
-        self._val = {CAT: val_c, MOUSE: val_m}
-        self._dist = {CAT: dist_c, MOUSE: dist_m}
+        self._val = vals
+        self._dist = dists
         self._rest = rest
 
-    def _locate(self, state: GameState) -> tuple[np.ndarray, np.ndarray, int, int]:
+    def _locate(self, state: GameState) -> tuple[int, int, int]:
+        """The state's cell (turn, other, mover) in the tables."""
         if state.turn not in (CAT, MOUSE):
             raise InvalidInstanceError(f"bad turn {state.turn!r}")
         index = self.instance.graph.index
@@ -201,10 +205,11 @@ class Solution:
             ci, mi = index[state.cat], index[state.mouse]
         except KeyError as missing:
             raise InvalidInstanceError(f"unknown node {missing}") from None
+        cell = (0, mi, ci) if state.turn == CAT else (1, ci, mi)
         rest = self._rest
-        if rest is not None and not rest.classes.holds_start(ci, mi, state.turn == MOUSE):
+        if rest is not None and not rest.classes.holds_start(*cell):
             self._complete()
-        return self._val[state.turn], self._dist[state.turn], ci, mi
+        return cell
 
     def _complete(self) -> None:
         """Decide the states of every class but the start's.
@@ -214,11 +219,10 @@ class Solution:
         """
         rest, self._rest = self._rest, None
         if rest is not None:
-            _attract(_Arena(self.instance.graph), rest.seeds, rest.vals, rest.dists)
+            _attract(_Arena(self.instance.graph), rest.seeds, self._val, self._dist)
 
     def value(self, state: GameState) -> Outcome:
-        val, _dist, ci, mi = self._locate(state)
-        code = val.item(ci, mi)
+        code = self._val.item(self._locate(state))
         if code == 0:
             return Outcome.DRAW
         if (code == _WON) == (state.turn == CAT):
@@ -227,8 +231,7 @@ class Solution:
 
     def dist(self, state: GameState) -> int | None:
         """Plies to termination under optimal play; None for draws."""
-        _val, dist, ci, mi = self._locate(state)
-        plies = int(dist[ci, mi])
+        plies = self._dist.item(self._locate(state))
         return None if plies < 0 else plies
 
     def outcome(self) -> Outcome:
@@ -240,15 +243,13 @@ class Solution:
         None where play has ended or the mover is stuck."""
         if classify(state, self.instance) is not None:
             return None
-        _val, _dist, ci, mi = self._locate(state)
+        turn, other, _mover = self._locate(state)
         # Successors are read cell by cell: ``GameState.after`` and
         # ``_locate`` per move timed up to a third slower in playouts.
-        graph, cat_moves = self.instance.graph, state.turn == CAT
-        after = MOUSE if cat_moves else CAT
-        val, dist = self._val[after], self._dist[after]
+        graph, val, dist = self.instance.graph, self._val, self._dist
         best = None
         for move in graph.neighbors_out(state.position):
-            cell = (graph.index[move], mi) if cat_moves else (ci, graph.index[move])
+            cell = (1 - turn, graph.index[move], other)
             code, plies = val.item(cell), dist.item(cell)
             # A successor lost for the opponent, who moves there, is a win.
             # Every draw has distance -1, so draws tie on it.
@@ -291,11 +292,10 @@ def solve(instance: GameInstance) -> Solution:
     arena = _Arena(graph)
     hole = graph.index[instance.hole]
 
-    # State (t, a, b) sits at t*n^2 + a*n + b: block 0 is Cat to move stored
-    # as [mouse, cat], block 1 Mouse to move stored as [cat, mouse].  Either
-    # way b is the mover's node and a the other player's, so the moves of
-    # (t, a, b) lead to (1 - t, b', a) for b' out of b, and its predecessors
-    # are (1 - t, b, x) for x into a.
+    # The tables are laid out as ``Solution`` reads them, [t, a, b] with b
+    # the mover's node and a the other player's; flat, state (t, a, b) sits
+    # at t*n^2 + a*n + b.  The moves of (t, a, b) lead to (1 - t, b', a) for
+    # b' out of b, and its predecessors are (1 - t, b, x) for x into a.
     vals = np.zeros((2, n, n), dtype=np.int8)
     dists = np.empty((2, n, n), dtype=np.int32)
     diag = np.arange(n)
@@ -310,13 +310,11 @@ def solve(instance: GameInstance) -> Solution:
     seeds = np.flatnonzero(vals)
     classes = _Classes(arena, graph.index[instance.cat_start],
                        graph.index[instance.mouse_start])
-    rest = None
-    if classes.period != 1:
-        here = classes.of_start(seeds)
-        rest = _Rest(classes, vals, dists, seeds[~here])
-        seeds = seeds[here]
-    _attract(arena, seeds, vals, dists)
-    return Solution(instance, vals[0].T, vals[1], dists[0].T, dists[1], rest)
+    here = classes.holds_start(*np.unravel_index(seeds, vals.shape))
+    # None when every seed is the start's, as at period 1: one class.
+    rest = None if here.all() else _Rest(classes, seeds[~here])
+    _attract(arena, seeds[here], vals, dists)
+    return Solution(instance, vals, dists, rest)
 
 
 def _attract(arena, seeds, vals, dists) -> None:
@@ -374,32 +372,21 @@ class _Classes:
         self.period = int(np.gcd.reduce(self.level[src] + 1 - self.level[dst]))
         self._start = level[cat] - level[mouse]
 
-    def holds_start(self, cat: int, mouse: int, turn: int) -> bool:
-        """Whether the state is in the start's class."""
-        return self._same(self.level.item(cat) - self.level.item(mouse) - turn)
-
-    def of_start(self, states: np.ndarray) -> np.ndarray:
-        """Which of the flat state codes are in the start's class."""
-        n = self.level.size
-        turn, rest = np.divmod(states, n * n)
-        a, b = np.divmod(rest, n)
-        # b is the mover's node: the Cat's in block 0, the Mouse's in block 1.
-        lead = self.level[b] - self.level[a]
-        return self._same(np.where(turn == 0, lead, -lead) - turn)
-
-    def _same(self, key):
-        gap = key - self._start
+    def holds_start(self, turn, other, mover):
+        """Whether state (turn, other, mover), laid out as in ``Solution``, is
+        in the start's class; ints or arrays of them.  ``1 - 2 * turn`` turns
+        the mover's lead in level into the Cat's."""
+        level = self.level
+        gap = (1 - 2 * turn) * (level[mover] - level[other]) - turn - self._start
         return gap % self.period == 0 if self.period else gap == 0
 
 
 class _Rest(NamedTuple):
-    """What deciding the other classes needs besides the graph: the classes,
-    the whole (2, n, n) tables ``solve`` filled and the other classes' seeds.
-    The arena is built again, as keeping it costs more memory than time."""
+    """What deciding the other classes needs besides the graph and the
+    tables: the classes and the other classes' seeds.  The arena is built
+    again, as keeping it costs more memory than time."""
 
     classes: _Classes
-    vals: np.ndarray
-    dists: np.ndarray
     seeds: np.ndarray
 
 

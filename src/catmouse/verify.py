@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .circuits import (
     AND,
     Circuit,
+    InvalidParamsError,
     evaluate,
     generate_random,
     input_ref,
@@ -54,6 +55,7 @@ from .reduction import (
 )
 from .solver import (
     CAT,
+    MOUSE,
     GameInstance,
     GameState,
     Outcome,
@@ -273,7 +275,10 @@ def certify_strategy(instance: GameInstance, side: str, policy) -> Certificate:
     iff it never raises or plays an illegal move, every end of play reached
     is ``side``'s win, and the walk has no cycle, through which the
     opponent could force a repetition draw.  Each breach is one problem.
+    A ``side`` other than ``CAT`` or ``MOUSE`` raises ValueError.
     """
+    if side not in (CAT, MOUSE):
+        raise ValueError(f"side must be {CAT!r} or {MOUSE!r}, got {side!r}")
     graph, problems = instance.graph, []
     win = Outcome.CAT_WIN if side == CAT else Outcome.MOUSE_WIN
 
@@ -357,7 +362,13 @@ def fuzz_equivalence(
     max_inputs: int = 4,
 ) -> FuzzReport:
     """Run ``verify_equivalence`` in both modes over ``n`` seeded random
-    circuit-and-assignment pairs."""
+    circuit-and-assignment pairs.  Sizes out of range raise
+    InvalidParamsError."""
+    limits = (("n", n, 0), ("max_layers", max_layers, 1),
+              ("max_width", max_width, 1), ("max_inputs", max_inputs, 2))
+    for name, value, least in limits:
+        if value < least:
+            raise InvalidParamsError(f"{name} must be at least {least}, got {value}")
     # The largest circuit a trial may draw must be one generate_random makes.
     layer_widths(max_layers, max_width, max_inputs)
     rng = random.Random(seed)

@@ -98,6 +98,7 @@ def solve(instance: GameInstance) -> Solution:
 
     # Solution takes values relative to the player to move, 1 won and 2
     # lost: the Cat-to-move table already reads so, and in the Mouse-to-move
-    # table the two wins trade places.
+    # table the two wins trade places.  Its tables are indexed [turn, other
+    # player's node, mover's node], so the Cat-to-move ones are transposed.
     val_m = np.where(val_m == 0, val_m, CATWIN + MOUSEWIN - val_m)
-    return Solution(instance, val_c, val_m, dist_c, dist_m)
+    return Solution(instance, np.stack((val_c.T, val_m)), np.stack((dist_c.T, dist_m)))

@@ -399,6 +399,13 @@ class TestPlayMatch:
         circuit = parse_circuit("inputs 2\ngate g0 AND i0 i1\noutput g0\n")
         assert isinstance(build_directed(circuit, "11")[0], Graph)
 
+    def test_unknown_turn_is_an_invalid_instance(self):
+        inst = GameInstance(line_graph(True, ("a", "b"), ("b", "h")), "a", "b", "h")
+        sol = solve(inst)
+        for query in (sol.value, sol.dist, sol.policy()):
+            with pytest.raises(InvalidInstanceError, match="bad turn"):
+                query(GameState("a", "b", "Dog"))
+
 
 class TestDeterminism:
     def test_repeat_solves_agree_everywhere(self):
@@ -433,9 +440,9 @@ class TestStartClass:
         assert late._rest is not None
         late.value(off)
         assert late._rest is None
-        for turn in (CAT, MOUSE):
-            assert np.array_equal(early._val[turn], late._val[turn])
-            assert np.array_equal(early._dist[turn], late._dist[turn])
+        for got, want in ((early._val, late._val), (early._dist, late._dist)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestOnReductionGraphs:

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 
+import pytest
+
 from catmouse import reduction, solver, verify
-from catmouse.circuits import evaluate, parse_circuit
+from catmouse.circuits import InvalidParamsError, evaluate, parse_circuit
 from catmouse.cli import main
 from catmouse.solver import CAT, MOUSE, GameInstance, Graph, Outcome
 from catmouse.strategies import make_mirror_cat, make_true_path_mouse
@@ -223,6 +225,13 @@ class TestCertifyStrategy:
         assert chase.problems
         assert all(p.endswith("reached again, a cycle") for p in chase.problems)
 
+    @pytest.mark.parametrize("side", ["mouse", "cat"])
+    def test_unknown_side_is_refused(self, side):
+        graph, _cmap = reduction.build_directed(parse_circuit(ONE_AND), "11")
+        inst = GameInstance.from_game_graph(graph)
+        with pytest.raises(ValueError, match="'Cat' or 'Mouse'"):
+            certify_strategy(inst, side, lambda state: None)
+
     def test_certificates_agree_with_the_solver(self):
         won = {Outcome.CAT_WIN: CAT, Outcome.MOUSE_WIN: MOUSE}
         certified = []
@@ -275,6 +284,13 @@ class TestFuzz:
         report = fuzz_equivalence(20, seed=1)
         assert report.checked == 20
         assert report.ok, [f.reproducer() for f in report.failures]
+
+    @pytest.mark.parametrize("name,value", [
+        ("n", -1), ("max_layers", 0), ("max_width", 0), ("max_inputs", 1),
+    ])
+    def test_out_of_range_sizes_are_invalid_params(self, name, value):
+        with pytest.raises(InvalidParamsError, match=f"^{name} must be at least"):
+            fuzz_equivalence(**{"n": 1, "seed": 0, name: value})
 
     def test_fuzz_is_deterministic(self):
         assert fuzz_equivalence(8, seed=9) == fuzz_equivalence(8, seed=9)
