@@ -247,18 +247,18 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
             if tag in (TAG_GADGET, TAG_INTER) and a in cat_of and b in cat_of:
                 edges.append((a, cat_of[b], TAG_GUARD))
 
-    graph = GameGraph(
-        directed=directed,
-        nodes=tuple(nodes),
-        roles=roles,
-        edges=tuple(edges),
-        c="c",
-        m=top[circuit.output, MOUSE_SIDE],
-        h="h",
-        d="d",
-    )
-    mouse_of = {v: k for k, v in cat_of.items()}
-    cmap = CorrespondenceMap(cat_of=cat_of, mouse_of=mouse_of, layer=layer)
+    special = {"c": "c", "m": top[circuit.output, MOUSE_SIDE], "h": "h", "d": "d"}
+    return _board(directed, nodes, roles, edges, special, cat_of, layer)
+
+
+def _board(directed: bool, nodes, roles, edges, special: dict[str, str], cat_of: dict[str, str],
+           layer: dict[str, int]) -> tuple[GameGraph, CorrespondenceMap]:
+    """The graph and map of a built or imported board, once validated;
+    ``special`` names the nodes c, m, h and d."""
+    graph = GameGraph(directed=directed, nodes=tuple(nodes), roles=roles,
+                      edges=tuple(edges), **special)
+    cmap = CorrespondenceMap(cat_of=cat_of, mouse_of={v: k for k, v in cat_of.items()},
+                             layer=layer)
     validate_graph(graph, cmap)
     return graph, cmap
 
@@ -391,6 +391,7 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
     edges: list[tuple[str, str, str]] = []
     specials: dict[str, str] = {}
     cat_of: dict[str, str] = {}
+    paired_cats: set[str] = set()
     layer: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -438,9 +439,10 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
             for n in (mouse, cat):
                 if n not in roles:
                     raise InconsistentGraphError(f"pair references unknown node {n!r}")
-            if mouse in cat_of or cat in cat_of.values():
+            if mouse in cat_of or cat in paired_cats:
                 raise InconsistentGraphError("pairing is not a bijection")
             cat_of[mouse] = cat
+            paired_cats.add(cat)
         elif keyword == "layer":
             if len(tokens) != 3:
                 raise GraphSyntaxError(lineno, "expected: layer <id> <n>")
@@ -463,23 +465,7 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
     missing_layer = [n for n in nodes if n not in layer]
     if missing_layer:
         raise InconsistentGraphError(f"missing layer for {missing_layer[0]!r}")
-    graph = GameGraph(
-        directed=directed,
-        nodes=tuple(nodes),
-        roles=roles,
-        edges=tuple(edges),
-        c=specials["c"],
-        m=specials["m"],
-        h=specials["h"],
-        d=specials["d"],
-    )
-    cmap = CorrespondenceMap(
-        cat_of=cat_of,
-        mouse_of={v: k for k, v in cat_of.items()},
-        layer=layer,
-    )
-    validate_graph(graph, cmap)
-    return graph, cmap
+    return _board(directed, nodes, roles, edges, specials, cat_of, layer)
 
 
 def validate_graph(graph: GameGraph, cmap: CorrespondenceMap):

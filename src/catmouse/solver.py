@@ -177,6 +177,11 @@ def classify(state: GameState, instance: GameInstance) -> Outcome | None:
     return None
 
 
+def _check_turn(state: GameState) -> None:
+    if state.turn not in (CAT, MOUSE):
+        raise InvalidInstanceError(f"bad turn {state.turn!r}")
+
+
 class Solution:
     """Value and optimal-play distance of every state, and an optimal policy.
 
@@ -198,8 +203,7 @@ class Solution:
 
     def _locate(self, state: GameState) -> tuple[int, int, int]:
         """The state's cell (turn, other, mover) in the tables."""
-        if state.turn not in (CAT, MOUSE):
-            raise InvalidInstanceError(f"bad turn {state.turn!r}")
+        _check_turn(state)
         index = self.instance.graph.index
         try:
             ci, mi = index[state.cat], index[state.mouse]
@@ -523,10 +527,12 @@ def play_match(
     no legal move loses without its policy being asked.  Repetition of a
     (cat, mouse, turn) situation is an immediate draw, so every match ends
     by repetition at the latest: there are only 2n² such situations on an
-    n-node board.
+    n-node board.  A start whose turn is neither ``CAT`` nor ``MOUSE``
+    raises ``InvalidInstanceError``.
     """
     graph = instance.graph
     state = start if start is not None else instance.initial_state()
+    _check_turn(state)
     seen: set[GameState] = set()
     moves: list[tuple[int, str, str, str]] = []
     while True:

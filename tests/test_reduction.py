@@ -349,6 +349,17 @@ class TestExportImport:
             import_graph("\n".join(lines))
         assert err.value.line == at + 2
 
+    @pytest.mark.parametrize("repeat", ["mouse", "cat"])
+    def test_pairing_must_be_a_bijection(self, one_and_true, repeat):
+        # A second pair line that reuses the first pair's Mouse or its Cat.
+        lines = export_graph(*one_and_true).splitlines()
+        at = next(k for k, line in enumerate(lines) if line.startswith("pair "))
+        (mouse, cat), (next_mouse, next_cat) = (lines[k].split()[1:] for k in (at, at + 1))
+        lines.insert(at + 1, f"pair {mouse} {next_cat}" if repeat == "mouse"
+                     else f"pair {next_mouse} {cat}")
+        with pytest.raises(InconsistentGraphError, match="pairing is not a bijection"):
+            import_graph("\n".join(lines))
+
     def test_export_is_deterministic(self):
         circuit = parse_circuit(THREE_GATE)
         texts = {

@@ -405,6 +405,9 @@ class TestPlayMatch:
         for query in (sol.value, sol.dist, sol.policy()):
             with pytest.raises(InvalidInstanceError, match="bad turn"):
                 query(GameState("a", "b", "Dog"))
+        first_move = lambda state: inst.graph.neighbors_out(state.position)[0]
+        with pytest.raises(InvalidInstanceError, match="bad turn 'Dog'"):
+            play_match(inst, first_move, first_move, start=GameState("a", "b", "Dog"))
 
 
 class TestDeterminism:

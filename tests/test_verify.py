@@ -108,6 +108,19 @@ class TestCheckStructure:
         assert any(p.startswith("edge count ") for p in problems), problems
 
 
+@pytest.mark.parametrize("tag", reduction.EDGE_TAGS)
+def test_a_missing_edge_is_counted_under_its_tag(tag):
+    # The true undirected one-AND board has edges of every tag.
+    circuit = parse_circuit(ONE_AND)
+    graph, cmap = reduction.build_undirected(circuit, "11")
+    tagged = graph.edges_tagged(tag)
+    edges = [e for e in graph.edges if e[:2] != tagged[0]]
+    broken = dataclasses.replace(graph, edges=tuple(edges))
+    problems = audit_board(broken, cmap, circuit, "11")
+    assert f"{tag} edges {len(tagged) - 1}, expected {len(tagged)}" in problems
+    assert any(p.startswith("edge count ") for p in problems), problems
+
+
 class TestBuildsPerCall:
     def test_verify_builds_each_mode_once(self, monkeypatch):
         calls = count_builds(monkeypatch)
