@@ -21,13 +21,15 @@ minimize it, losers maximize it.
 
 No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
 period (see ``_Classes``), so the states fall into classes closed under
-moves both ways, and only the start's class comes up in play.  ``solve``
-decides that class alone; the first query of a state in another class
-decides all the others in one more run of the same plies.  The reduction's
-directed boards have period 0, and the start's class holds 9.0% of the
-states at 941 nodes and 7.5% at 2,881; undirected boards have period 2 and
-two classes; a self-loop or an odd cycle makes the period 1, one class
-holding every state.
+moves both ways, and only the start's class comes up in play.  Each class
+is solved on its own into tables sized to it, laid out as ``Solution``
+describes: ``solve`` decides the start's class alone, and the first query
+of a state in another class decides that class.  The reduction's directed
+boards have period 0 and a class per level difference; the start's class
+holds 9.0% of the states at 941 nodes, 7.5% at 2,881 and 5.0% at 13,865.
+Undirected boards have period 2 and two classes of half the states each; a
+self-loop or an odd cycle makes the period 1, one class holding every
+state.
 
 ``minimax_oracle`` independently evaluates small instances by plain
 depth-limited minimax over the move tree, deep enough that any forced win
@@ -182,51 +184,149 @@ def _check_turn(state: GameState) -> None:
         raise InvalidInstanceError(f"bad turn {state.turn!r}")
 
 
+class ClassStats(NamedTuple):
+    """What deciding one class of states took: the class's key (see
+    ``Solution``), its number of states, and the plies that decided states,
+    which is the longest distance in the class."""
+
+    key: int
+    states: int
+    plies: int
+
+
+class _Tables(NamedTuple):
+    """A decided class: state (t, a, b), nodes by graph index, sits at
+    ``rows[t][a] + slot[b]`` in ``val`` and ``dist``.  These are read-only
+    views of the solver's arrays: indexing one gives a Python int in about
+    half the time ``ndarray.item`` takes."""
+
+    rows: tuple[list, list]
+    val: memoryview
+    dist: memoryview
+
+
 class Solution:
     """Value and optimal-play distance of every state, and an optimal policy.
 
-    The (2, n, n) tables hold a state at [t, a, b]: t is 0 with the Cat to
-    move and 1 with the Mouse, b is the mover's node and a the other
-    player's, both by the graph's ``index``.  A value is 1 (``_WON``) or 2
-    (``_LOST``) for the player to move, or 0 for a draw or a state not yet
-    decided; their distance is -1.
+    A state (t, a, b) has t = 0 with the Cat to move and 1 with the Mouse, b
+    the mover's node and a the other player's.  Its value is 1 (``_WON``) or
+    2 (``_LOST``) for the player to move, or 0 for a draw, whose distance is
+    -1.
 
-    ``solve`` leaves the states outside the start's class undecided; the
-    first query of one of them decides them all (``_complete``), once.
+    No move changes a state's key, ``level(cat) - level(mouse) - t`` taken
+    modulo the board's period (exactly at period 0; see ``_Classes``).  So
+    the states fall into classes by key, closed under moves both ways, and
+    each class is solved into tables of its own size.  ``solve`` decides the
+    start's class, a query of a state in another class decides that class
+    first, and ``_complete`` decides them all.  ``stats`` lists the classes
+    decided.
+
+    The layout: the nodes are numbered by slot so that each residue group,
+    the nodes of one level modulo the period (of one exact level at period
+    0), takes consecutive slots.  In the class of key k, row (t, a) holds
+    only the movers of one group, that of ``level(a) + k`` with the Cat to
+    move and ``level(a) - k - 1`` with the Mouse, in slot order, and the 2n
+    rows follow one another by turn, then by a's slot.  So state (t, a, b)
+    sits at its row's start plus b's rank in its group, and its predecessors
+    (1 - t, b, x), for x into a, all lie in row (1 - t, b), because every x
+    into a has the same residue.  At period 1 there is one group and one
+    class, and this is the dense [t, a, b] layout.
     """
 
-    def __init__(self, instance, vals, dists, rest=None):
+    def __init__(self, instance):
         self.instance = instance
-        self._val = vals
-        self._dist = dists
-        self._rest = rest
+        self._index = instance.graph.index
+        # The arena is kept only while it may be needed: for the start's
+        # class, and from the second class decided on (see ``_decide``).
+        self._arena = _Arena(instance.graph)
+        classes = self._classes = self._arena.classes
+        self._level, self._period = classes.level, classes.period
+        self._slot = classes.slot.tolist()
+        self._tables: dict[int, _Tables] = {}
+        self._stats: list[ClassStats] = []
 
-    def _locate(self, state: GameState) -> tuple[int, int, int]:
-        """The state's cell (turn, other, mover) in the tables."""
-        _check_turn(state)
-        index = self.instance.graph.index
+    @property
+    def stats(self) -> tuple[ClassStats, ...]:
+        """Each class decided so far, in the order decided."""
+        return tuple(self._stats)
+
+    def _locate(self, state: GameState) -> tuple[_Tables, int, int, int]:
+        """The tables of the state's class, deciding it if need be, the
+        state's turn, the other player's node by graph index, and the state's
+        index in the tables."""
+        if state.turn != CAT:
+            _check_turn(state)
+        index = self._index
         try:
             ci, mi = index[state.cat], index[state.mouse]
         except KeyError as missing:
             raise InvalidInstanceError(f"unknown node {missing}") from None
-        cell = (0, mi, ci) if state.turn == CAT else (1, ci, mi)
-        rest = self._rest
-        if rest is not None and not rest.classes.holds_start(*cell):
-            self._complete()
-        return cell
+        key = self._level[ci] - self._level[mi]
+        if state.turn == CAT:
+            turn, other, mover = 0, mi, ci
+        else:
+            turn, other, mover, key = 1, ci, mi, key - 1
+        if self._period:
+            key %= self._period
+        try:
+            tables = self._tables[key]
+        except KeyError:
+            tables = self._decide(key)
+        return tables, turn, other, tables[0][turn][other] + self._slot[mover]
+
+    def _decide(self, key: int) -> _Tables:
+        """Solve the class ``key`` and keep its tables."""
+        arena = self._arena or _Arena(self.instance.graph, self._classes)
+        # Most solutions never decide a second class; those that do tend to
+        # decide many, as directed boards have dozens.
+        self._arena = arena if self._tables else None
+        layout = self._classes.layout(key)
+        need = layout.states * _BYTES_PER_STATE
+        if need > _MAX_TABLE_BYTES:
+            raise TooLargeError(
+                f"{arena.n} nodes: the class to solve has {layout.states} states, "
+                f"which need {need / 2**30:.1f} GiB of state tables; "
+                f"the solver allows {_MAX_TABLE_BYTES / 2**30:.0f} GiB"
+            )
+        most = int(arena.out_deg.max())
+        if most >= 2**15:
+            raise TooLargeError(f"a node has {most} moves; the solver allows {2**15 - 1}")
+        val, dist, plies = _attract(arena, layout, self._slot[self._index[self.instance.hole]])
+        slot = self._classes.slot
+        rows = layout.base[slot].tolist(), layout.base[slot + arena.n].tolist()
+        tables = _Tables(rows, memoryview(val).toreadonly(), memoryview(dist).toreadonly())
+        self._tables[key] = tables
+        self._stats.append(ClassStats(key, layout.states, plies))
+        return tables
 
     def _complete(self) -> None:
-        """Decide the states of every class but the start's.
+        """Decide every class not yet decided."""
+        for key in self._classes.keys():
+            if key not in self._tables:
+                self._decide(key)
 
-        Classes are closed under moves both ways, so this pass neither reads
-        nor changes a state of the start's class.
-        """
-        rest, self._rest = self._rest, None
-        if rest is not None:
-            _attract(_Arena(self.instance.graph), rest.seeds, self._val, self._dist)
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every state's value and distance as (2, n, n) tables indexed
+        [t, a, b] by graph index, for comparison with other solvers; the
+        states of classes not decided read value -1."""
+        classes = self._classes
+        n = classes.n
+        # In the dtypes of the start's class, which ``solve`` decided.
+        start = next(iter(self._tables.values()))
+        vals = np.full((2, n, n), -1, dtype=np.asarray(start.val).dtype)
+        dists = np.full((2, n, n), -1, dtype=np.asarray(start.dist).dtype)
+        for key, tables in self._tables.items():
+            layout = classes.layout(key)
+            length = classes.size[layout.mover]
+            row = np.arange(2 * n).repeat(length)
+            cell = (row // n, row % n, np.arange(layout.states) - layout.base.repeat(length))
+            vals[cell], dists[cell] = tables.val, tables.dist
+        slot = classes.slot
+        return vals[:, slot][:, :, slot], dists[:, slot][:, :, slot]
 
     def value(self, state: GameState) -> Outcome:
-        code = self._val.item(self._locate(state))
+        (_rows, val, _dist), _turn, _other, at = self._locate(state)
+        code = val[at]
         if code == 0:
             return Outcome.DRAW
         if (code == _WON) == (state.turn == CAT):
@@ -235,7 +335,8 @@ class Solution:
 
     def dist(self, state: GameState) -> int | None:
         """Plies to termination under optimal play; None for draws."""
-        plies = self._dist.item(self._locate(state))
+        (_rows, _val, dist), _turn, _other, at = self._locate(state)
+        plies = dist[at]
         return None if plies < 0 else plies
 
     def outcome(self) -> Outcome:
@@ -247,14 +348,16 @@ class Solution:
         None where play has ended or the mover is stuck."""
         if classify(state, self.instance) is not None:
             return None
-        turn, other, _mover = self._locate(state)
-        # Successors are read cell by cell: ``GameState.after`` and
-        # ``_locate`` per move timed up to a third slower in playouts.
-        graph, val, dist = self.instance.graph, self._val, self._dist
+        (rows, val, dist), turn, other, _at = self._locate(state)
+        # The successors (1 - turn, move, other) are in the same class.  They
+        # are read cell by cell: ``GameState.after`` and ``_locate`` per move
+        # timed up to a third slower in playouts.
+        graph, index = self.instance.graph, self._index
+        rows, at_other = rows[1 - turn], self._slot[other]
         best = None
         for move in graph.neighbors_out(state.position):
-            cell = (1 - turn, graph.index[move], other)
-            code, plies = val.item(cell), dist.item(cell)
+            at = rows[index[move]] + at_other
+            code, plies = val[at], dist[at]
             # A successor lost for the opponent, who moves there, is a win.
             # Every draw has distance -1, so draws tie on it.
             rank = 0 if code == _LOST else 1 if code == 0 else 2
@@ -269,12 +372,16 @@ class Solution:
         return self._move
 
 
-# Bytes per (cat, mouse, turn) state: value (int8), distance (int32) and
-# count of options left (int16, as an out-degree is below n).
+# Bytes per (cat, mouse, turn) state of the class being solved: value
+# (int8), distance (int32) and count of options left (int16).
 _BYTES_PER_STATE = 1 + 4 + 2
-# solve refuses a board whose state tables would exceed this (about 12,000
-# nodes) with TooLargeError, instead of running the host out of memory.  It
-# also keeps distances (below 2n^2) within int32 and n within int16.
+# A class whose state tables would exceed this is refused with TooLargeError
+# instead of running the host out of memory.  It admits undirected boards of
+# about 17,000 nodes, whose start's class is half of the 2n^2 states, and
+# directed ladder boards of about 60,000, whose start's class is under 4% of
+# them.  It keeps a class under 2^31 states, and so its distances within
+# int32; the option counts fit int16 because solving refuses a node with
+# 2^15 moves or more.
 _MAX_TABLE_BYTES = 2 * 2**30
 # Predecessors gathered at once; bounds the buffers of a ply.
 _SLICE = 1 << 16
@@ -285,74 +392,76 @@ _WON, _LOST = 1, 2
 def solve(instance: GameInstance) -> Solution:
     """Retrograde analysis of the start's class of (cat, mouse, turn) states;
     the returned ``Solution`` decides the other classes when first asked."""
-    graph = instance.graph
-    n = len(graph.nodes)
-    need = 2 * n * n * _BYTES_PER_STATE
-    if need > _MAX_TABLE_BYTES:
-        raise TooLargeError(
-            f"{n} nodes need {need / 2**30:.1f} GiB of state tables; "
-            f"the solver allows {_MAX_TABLE_BYTES / 2**30:.0f} GiB"
-        )
-    arena = _Arena(graph)
-    hole = graph.index[instance.hole]
-
-    # The tables are laid out as ``Solution`` reads them, [t, a, b] with b
-    # the mover's node and a the other player's; flat, state (t, a, b) sits
-    # at t*n^2 + a*n + b.  The moves of (t, a, b) lead to (1 - t, b', a) for
-    # b' out of b, and its predecessors are (1 - t, b, x) for x into a.
-    vals = np.zeros((2, n, n), dtype=np.int8)
-    dists = np.empty((2, n, n), dtype=np.int32)
-    diag = np.arange(n)
-    others = diag != hole
-    vals[0, diag, diag] = _WON
-    vals[1, diag, diag] = _LOST
-    vals[0, hole, others] = _LOST
-    vals[1, others, hole] = _WON
-    # A player to move with no way out loses on the spot.
-    vals[(vals == 0) & (arena.out_deg == 0)] = _LOST
-
-    seeds = np.flatnonzero(vals)
-    classes = _Classes(arena, graph.index[instance.cat_start],
-                       graph.index[instance.mouse_start])
-    here = classes.holds_start(*np.unravel_index(seeds, vals.shape))
-    # None when every seed is the start's, as at period 1: one class.
-    rest = None if here.all() else _Rest(classes, seeds[~here])
-    _attract(arena, seeds[here], vals, dists)
-    return Solution(instance, vals, dists, rest)
+    solution = Solution(instance)
+    solution._locate(instance.initial_state())
+    return solution
 
 
-def _attract(arena, seeds, vals, dists) -> None:
-    """Decide every state whose fate follows from the decided states
-    ``seeds``; states left undecided get distance -1, the draws' distance."""
-    left = np.empty(vals.shape, dtype=np.int16)
-    left[...] = arena.out_deg
-    val, dist, left = vals.reshape(-1), dists.reshape(-1), left.reshape(-1)
+def _attract(arena, layout, hole) -> tuple[np.ndarray, np.ndarray, int]:
+    """Decide the class laid out by ``layout`` (see ``Solution``): its value
+    and distance tables, and the plies that decided states.  ``hole`` is a
+    slot; states left undecided get distance -1, the draws' distance."""
+    n, group, base = arena.n, arena.classes.group, layout.base
+    val = np.zeros(layout.states, dtype=np.int8)
+    # Capture on the diagonal and the Mouse home at the hole, in every
+    # class: rows t*n + a, movers b and values of the terminal states.
+    nodes = np.arange(n)
+    away = np.flatnonzero(nodes != hole)
+    at_hole = np.full(away.size, hole)
+    rows = np.concatenate((nodes, n + nodes, at_hole, n + away))
+    movers = np.concatenate((nodes, nodes, away, at_hole))
+    codes = np.repeat(np.array([_WON, _LOST, _LOST, _WON], dtype=np.int8),
+                      (n, n, away.size, away.size))
+    here = layout.mover[rows] == group[movers]
+    seeds = [base[rows[here]] + movers[here]]
+    val[seeds[0]] = codes[here]
+    # A player to move with no way out loses on the spot: the stuck movers'
+    # columns, in the rows that hold their group.
+    stuck = np.flatnonzero(arena.out_deg == 0)
+    for g in np.flatnonzero(np.bincount(group[stuck])):
+        rows = np.flatnonzero(layout.mover == g)
+        cells = (base[rows, None] + stuck[group[stuck] == g]).reshape(-1)
+        cells = cells[val[cells] == 0]
+        val[cells] = _LOST
+        seeds.append(cells)
+    seeds = np.concatenate(seeds)
+
+    # Each state starts with its mover's out-degree of options; a row holds
+    # the movers of its group in slot order.
+    first, size = arena.classes.first.tolist(), arena.classes.size.tolist()
+    degrees = [arena.out_deg[f:f + k].astype(np.int16) for f, k in zip(first, size)]
+    left = np.concatenate([degrees[g] for g in layout.mover.tolist()])
+
+    dist = np.empty(layout.states, dtype=np.int32)
     lost = val[seeds] == _LOST
     frontier = np.concatenate((seeds[lost], seeds[~lost]))
     n_lost = int(np.count_nonzero(lost))
     dist[frontier] = 0
-    ply = 0
+    plies = 0
     while frontier.size:
-        ply += 1
-        frontier, n_lost = _ply(arena, frontier, n_lost, val, left, dist)
-        dist[frontier] = ply
+        frontier, n_lost = _ply(arena, layout, frontier, n_lost, val, left, dist)
+        if frontier.size:
+            plies += 1
+            dist[frontier] = plies
     # Over the stamps left on the undecided states.
     dist[val == 0] = -1
+    return val, dist, plies
 
 
 class _Classes:
-    """The classes of states that moves never leave.
+    """The classes of states that moves never leave, and the slots that lay
+    each class out (see ``Solution``).
 
     Every move u -> v has ``level[v] = level[u] + 1`` modulo ``period``
-    (exactly when it is 0), so ``level[cat] - level[mouse] - turn`` (turn 0
-    for the Cat to move, 1 for the Mouse) stays the same modulo ``period``
-    along any move.  The walk sets the levels along a spanning forest of the
-    undirected graph underneath, and the period is the gcd of the amounts by
-    which the other edges miss.
+    (exactly when it is 0), so a state's key stays the same along any move.
+    The walk sets the levels along a spanning forest of the undirected graph
+    underneath, and the period is the gcd of the amounts by which the other
+    edges miss.  ``level`` and ``slot`` are by graph index; ``group`` is each
+    slot's residue group, and ``first`` and ``size`` give each group's slots,
+    with an empty group at index -1.
     """
 
-    def __init__(self, arena, cat, mouse):
-        n, src, dst = arena.n, arena.src, arena.dst
+    def __init__(self, n, src, dst):
         # The undirected graph underneath as CSR: from either end of a move,
         # the other end and the step in level toward it.
         ends = np.concatenate((src, dst))
@@ -372,29 +481,51 @@ class _Classes:
                     if level[far[k]] is None:
                         level[far[k]] = level[u] + step[k]
                         todo.append(far[k])
-        self.level = np.array(level, dtype=np.intp)
-        self.period = int(np.gcd.reduce(self.level[src] + 1 - self.level[dst]))
-        self._start = level[cat] - level[mouse]
+        levels = np.array(level, dtype=np.intp)
+        self.n, self.level = n, level
+        self.period = int(np.gcd.reduce(levels[src] + 1 - levels[dst]))
+        group = levels % self.period if self.period else levels - levels.min()
+        by_slot = np.argsort(group, kind="stable")
+        self.slot = np.empty(n, dtype=np.intp)
+        self.slot[by_slot] = np.arange(n)
+        self.group = group[by_slot]
+        self.size = np.append(np.bincount(group, minlength=self.period), 0)
+        self.first = np.cumsum(self.size) - self.size
 
-    def holds_start(self, turn, other, mover):
-        """Whether state (turn, other, mover), laid out as in ``Solution``, is
-        in the start's class; ints or arrays of them.  ``1 - 2 * turn`` turns
-        the mover's lead in level into the Cat's."""
-        level = self.level
-        gap = (1 - 2 * turn) * (level[mover] - level[other]) - turn - self._start
-        return gap % self.period == 0 if self.period else gap == 0
+    def keys(self) -> range:
+        """The key of every class."""
+        return range(self.period) if self.period else range(1 - self.size.size, self.size.size - 1)
+
+    def layout(self, key: int) -> _Layout:
+        """The rows of the class ``key``."""
+        mover = np.concatenate((self.group + key, self.group - key - 1))
+        if self.period:
+            mover %= self.period
+        else:
+            mover[(mover < 0) | (mover >= self.size.size - 1)] = -1
+        length = self.size[mover]
+        end = np.cumsum(length)
+        base = end - length - self.first[mover]
+        back = base.copy()
+        back[:self.n] -= self.n
+        return _Layout(end, base, back, mover, int(end[-1]))
 
 
-class _Rest(NamedTuple):
-    """What deciding the other classes needs besides the graph and the
-    tables: the classes and the other classes' seeds.  The arena is built
-    again, as keeping it costs more memory than time."""
+class _Layout(NamedTuple):
+    """The rows r = t*n + a (a by slot) of one class: the index each row
+    ends at; ``base``, such that state (t, a, b) sits at ``base[r] + b`` (b
+    by slot); ``back``, such that the predecessors (1 - t, b, x) of state s
+    of row r lie in row s - ``back[r]`` = (1 - t)*n + b; each row's group of
+    movers, -1 for none; and the number of states."""
 
-    classes: _Classes
-    seeds: np.ndarray
+    end: np.ndarray
+    base: np.ndarray
+    back: np.ndarray
+    mover: np.ndarray
+    states: int
 
 
-def _ply(arena, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
+def _ply(arena, layout, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
     """Decide every state whose fate follows from the frontier.
 
     ``frontier[:n_lost]`` were lost for their mover, the rest won.  Returns
@@ -405,7 +536,7 @@ def _ply(arena, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
     """
     won_parts: list[np.ndarray] = []
     lost_parts: list[np.ndarray] = []
-    for pred, cut in arena.predecessors(frontier, n_lost):
+    for pred, cut in arena.predecessors(frontier, n_lost, layout):
         # A loss for the mover is a win for the mover of each predecessor.
         won = pred[:cut]
         won = won[val[won] == 0]
@@ -435,35 +566,36 @@ def _ply(arena, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
 
 
 class _Arena:
-    """The board's distinct edges as reverse CSR over the 2n state rows.
+    """The board's distinct edges as reverse CSR over the 2n rows of a class
+    layout, nodes by slot (see ``Solution``).
 
-    Row r = t*n + a holds the states s = (t, a, b) = r*n + b.  Their
-    predecessors (1 - t, b, x) are ``shift[r] + s*n + x`` for each
-    in-neighbour ``x`` of a, ``src[row_end[r] - row_deg[r]:row_end[r]]``.
-    Index arrays are intp, since numpy converts any other index type on
-    every gather.
+    Row r = t*n + a has the in-neighbours x of a, ``src[row_end[r] -
+    row_deg[r]:row_end[r]]``, as its states' predecessors' movers.  Index
+    arrays are intp, since numpy converts any other index type on every
+    gather.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, classes: _Classes | None = None):
         n = len(graph.nodes)
         index = graph.index
         codes = np.array(sorted({index[v] * n + ui for ui, u in enumerate(graph.nodes)
                                  for v in graph.neighbors_out(u)}), dtype=np.intp)
         self.n = n
-        self.src, self.dst = codes % n, codes // n
-        self.out_deg = np.bincount(self.src, minlength=n)
-        in_deg = np.bincount(self.dst, minlength=n)
+        dst, src = np.divmod(codes, n)
+        self.classes = classes = classes or _Classes(n, src, dst)
+        src, dst = classes.slot[src], classes.slot[dst]
+        self.src = src[np.argsort(dst, kind="stable")]
+        self.out_deg = np.bincount(src, minlength=n)
+        in_deg = np.bincount(dst, minlength=n)
         self.row_deg = np.concatenate((in_deg, in_deg))
         ends = np.cumsum(in_deg)
         self.row_end = np.concatenate((ends, ends))
-        self.shift = np.arange(0, -2 * n, -1, dtype=np.intp) * n * n
-        self.shift[:n] += n * n
         # 0, 1, 2, ...: as long as the largest slice of predecessors, which
         # holds at most _SLICE of them or those of one state (fewer than n).
         longest = min(max(_SLICE, n), 2 * n * len(codes))
         self.order = np.arange(longest + 1, dtype=np.int32)
 
-    def predecessors(self, states: np.ndarray, cut: int):
+    def predecessors(self, states: np.ndarray, cut: int, layout: _Layout):
         """Yield (predecessors, k) slices over ``states``, repeats kept.
 
         The first k predecessors of a slice come from ``states[:cut]``.
@@ -472,7 +604,10 @@ class _Arena:
         # pays its gathers and index arithmetic once for both.  A walk each
         # is more code for no gain: on 941-node boards a two-walk ``_ply``
         # timed 8-10% slower in one measurement and within noise in another.
-        rows = states // self.n
+        # Row r holds the states from end[r - 1] up to end[r], so a state's
+        # row is the number of row ends at or below it.
+        rows = layout.end.searchsorted(states, "right")
+        up = layout.base[states - layout.back[rows]]
         ends = self.row_deg[rows].cumsum()
         total = int(ends[-1])
         split = int(ends[cut - 1]) if cut else 0
@@ -489,8 +624,7 @@ class _Arena:
                 offset += done
             offset = offset.repeat(counts)
             offset += self.order[:upto - done]
-            base = self.shift[r] + states[lo:hi] * self.n
-            yield base.repeat(counts) + self.src[offset], min(max(split - done, 0), upto - done)
+            yield up[lo:hi].repeat(counts) + self.src[offset], min(max(split - done, 0), upto - done)
             lo, done = hi, upto
 
 

@@ -35,6 +35,18 @@ def random_placement(graph, seed):
     return cat, mouse, hole
 
 
+def fan_levels():
+    """The levels 0 to 4 of a small directed arena, c, x, eight w, eight u
+    and h, whose edges lead from every node of a level to every node of the
+    next.  With the Cat on c and the Mouse on a u, the start's class of
+    states is far smaller than the class with both players on one level."""
+    return [["c"], ["x"], [f"w{k}" for k in range(8)], [f"u{k}" for k in range(8)], ["h"]]
+
+
+def fan_edges(levels):
+    return [(a, b) for here, up in zip(levels, levels[1:]) for a in here for b in up]
+
+
 def and_chain_text(depth):
     """A circuit of ``depth`` AND gates, each fed twice by the one below."""
     lines = ["inputs 2", "gate g0 AND i0 i1"]

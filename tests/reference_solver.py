@@ -13,7 +13,6 @@ from scipy.sparse import csr_matrix
 
 from catmouse.solver import (
     GameInstance,
-    Solution,
     SolverError,
 )
 
@@ -22,8 +21,9 @@ CATWIN = 1
 MOUSEWIN = 2
 
 
-def solve(instance: GameInstance) -> Solution:
-    """Retrograde analysis of the full (cat, mouse, turn) state space."""
+def solve(instance: GameInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Retrograde analysis of the full (cat, mouse, turn) state space: the
+    value and distance tables of every state."""
     graph = instance.graph
     ids = tuple(graph.nodes)
     index = {v: i for i, v in enumerate(ids)}
@@ -96,9 +96,10 @@ def solve(instance: GameInstance) -> Solution:
         cw_m[new_cw_m] = 1.0
         mw_m[new_mw_m] = 1.0
 
-    # Solution takes values relative to the player to move, 1 won and 2
-    # lost: the Cat-to-move table already reads so, and in the Mouse-to-move
-    # table the two wins trade places.  Its tables are indexed [turn, other
-    # player's node, mover's node], so the Cat-to-move ones are transposed.
+    # Returned as ``Solution._dense`` gives them: values relative to the
+    # player to move, 1 won and 2 lost, so the Cat-to-move table already
+    # reads so and in the Mouse-to-move table the two wins trade places; and
+    # indexed [turn, other player's node, mover's node], so the Cat-to-move
+    # tables are transposed.
     val_m = np.where(val_m == 0, val_m, CATWIN + MOUSEWIN - val_m)
-    return Solution(instance, np.stack((val_c.T, val_m)), np.stack((dist_c.T, dist_m)))
+    return np.stack((val_c.T, val_m)), np.stack((dist_c.T, dist_m))

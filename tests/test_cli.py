@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmouse import solver
 from catmouse.circuits import generate_random, serialize_circuit
 from catmouse.cli import main
+from catmouse.reduction import import_graph
+from catmouse.solver import GameInstance, solve
 
-from conftest import and_chain_text
+from conftest import and_chain_text, fan_edges, fan_levels
 
 ONE_AND = "inputs 2\ngate g0 AND i0 i1\noutput g0\n"
 ONE_OR = "inputs 2\ngate g0 OR i0 i1\noutput g0\n"
@@ -189,6 +192,24 @@ class TestSolve:
         graph_file.write_text(capsys.readouterr().out)
         assert main(["solve", str(graph_file), "--state", state]) == 0
         assert capsys.readouterr().out == OFF_START_SOLVES[mode, state]
+
+    def test_off_class_state_over_the_budget_is_a_one_line_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        levels = fan_levels()
+        lines = ["game directed", "node c cat-start", "node h hole", "node d dead-end"]
+        lines += [f"node {v} dead-end" for level in levels[1:-1] for v in level]
+        lines += [f"edge {a} {b} inter-gadget" for a, b in fan_edges(levels)]
+        lines += ["special c=c m=u0 h=h d=d", "layer d 0"]
+        lines += [f"layer {v} {4 - k}" for k, level in enumerate(levels) for v in level]
+        path = tmp_path / "fan.graph"
+        path.write_text("\n".join(lines) + "\n")
+        graph, _cmap = import_graph(path.read_text())
+        start = solve(GameInstance.from_game_graph(graph)).stats[0]
+        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", start.states * solver._BYTES_PER_STATE)
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("outcome MouseWin\n")
+        assert main(["solve", str(path), "--state", "w0,w1,Cat"]) == 2
+        assert "the class to solve has" in assert_one_line_error(capsys)
 
     def test_malformed_state_is_a_usage_error(self, and_file, tmp_path, capsys):
         main(["reduce", and_file, "00"])

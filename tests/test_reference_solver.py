@@ -13,17 +13,17 @@ import pytest
 from catmouse.circuits import generate_random
 from catmouse import solver
 from catmouse.reduction import build_directed, build_undirected
-from catmouse.solver import GameInstance, Graph, solve
+from catmouse.solver import CAT, MOUSE, GameInstance, GameState, Graph, solve
 
 from conftest import random_placement
 from reference_solver import solve as reference_solve
 
 
 def assert_same_tables(instance):
-    got, want = solve(instance), reference_solve(instance)
+    got = solve(instance)
     got._complete()
-    for name, table, expected in (("value", got._val, want._val),
-                                  ("dist", got._dist, want._dist)):
+    for name, table, expected in zip(("value", "dist"), got._dense(),
+                                     reference_solve(instance)):
         assert table.dtype == expected.dtype, name
         assert np.array_equal(table, expected), name
 
@@ -83,7 +83,7 @@ def test_rough_random_arenas():
         instance = GameInstance(graph, *random_placement(graph, seed))
         if looped:
             # A self-loop makes the period 1: one class, all of it solved.
-            assert solve(instance)._rest is None
+            assert solve(instance).stats[0].states == 2 * len(graph.nodes) ** 2
         assert_same_tables(instance)
     assert min(seen.values()) >= 30, seen
 
@@ -112,5 +112,38 @@ def test_arenas_of_several_classes(period):
     for seed in range(60):
         graph = layered_arena(seed, period)
         instance = GameInstance(graph, *random_placement(graph, seed))
-        assert solve(instance)._rest.classes.period == period
+        assert solve(instance)._classes.period == period
         assert_same_tables(instance)
+
+
+def test_a_start_class_under_the_budget_solves_on_a_board_over_it(monkeypatch):
+    circuit = generate_random(4, 8, 8, 0.5, seed=1)
+    graph, _cmap = build_directed(circuit, "1" * circuit.num_inputs)
+    instance = GameInstance.from_game_graph(graph)
+    start = solve(instance).stats[0]
+    budget = start.states * solver._BYTES_PER_STATE
+    assert budget < 2 * len(graph.nodes) ** 2 * solver._BYTES_PER_STATE
+    monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", budget)
+    got = solve(instance)._dense()
+    want = reference_solve(instance)
+    decided = got[0] != -1
+    assert np.count_nonzero(decided) == start.states
+    for table, expected in zip(got, want):
+        assert np.array_equal(table[decided], expected[decided])
+
+
+@pytest.mark.parametrize("period", [0, 2, 3])
+def test_any_query_order_gives_the_reference_tables(period):
+    for seed in range(20):
+        graph = layered_arena(seed, period)
+        instance = GameInstance(graph, *random_placement(graph, seed))
+        solution = solve(instance)
+        rng = random.Random(seed)
+        for _ in range(rng.randrange(8)):
+            state = GameState(rng.choice(graph.nodes), rng.choice(graph.nodes),
+                              rng.choice((CAT, MOUSE)))
+            rng.choice((solution.value, solution.dist, solution.policy()))(state)
+        solution._complete()
+        for table, expected in zip(solution._dense(), reference_solve(instance)):
+            assert table.dtype == expected.dtype
+            assert np.array_equal(table, expected)

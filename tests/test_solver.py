@@ -1,9 +1,11 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from catmouse import solver
 from catmouse.circuits import generate_random, parse_circuit
 from catmouse.reduction import build_directed, build_undirected
 from catmouse.solver import (
@@ -24,7 +26,7 @@ from catmouse.solver import (
 )
 from catmouse.verify import certify_strategy
 
-from conftest import random_arena, random_placement
+from conftest import fan_edges, fan_levels, random_arena, random_placement
 
 
 def line_graph(directed, *edges):
@@ -427,7 +429,7 @@ class TestDeterminism:
 
 class TestStartClass:
     """solve decides the start's class of states; the first query of a state
-    outside it decides the other classes."""
+    outside it decides that state's class."""
 
     @pytest.mark.parametrize("builder", [build_directed, build_undirected])
     def test_query_order_gives_the_same_tables(self, builder):
@@ -438,14 +440,78 @@ class TestStartClass:
         off = GameState(start.cat, start.mouse, MOUSE)
         early, late = solve(inst), solve(inst)
         early.value(off)
-        assert early._rest is None
+        assert len(early.stats) == 2
         late.value(start)
-        assert late._rest is not None
+        assert len(late.stats) == 1
         late.value(off)
-        assert late._rest is None
-        for got, want in ((early._val, late._val), (early._dist, late._dist)):
+        assert len(late.stats) == 2
+        early._complete()
+        late._complete()
+        for got, want in zip(early._dense(), late._dense()):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    def test_an_off_class_query_decides_that_class_alone(self):
+        graph, cmap = build_directed(generate_random(3, 4, 4, 0.5, seed=1), "1010")
+        inst = GameInstance.from_game_graph(graph)
+        start = inst.initial_state()
+        off = GameState(start.cat, start.mouse, MOUSE)
+        # Every move drops one layer, so layer(mouse) - layer(cat) - turn
+        # names a state's class; count each class's states from it.
+        layer = cmap.layer
+
+        def key(cat, mouse, turn):
+            return layer[mouse] - layer[cat] - (turn == MOUSE)
+
+        sizes = Counter(key(c, m, t) for c in graph.nodes for m in graph.nodes
+                        for t in (CAT, MOUSE))
+        sol = solve(inst)
+        sol.value(off)
+        assert [s.states for s in sol.stats] == [sizes[key(*start)], sizes[key(*off)]]
+        # The states play reaches from ``off`` are in its class.
+        play_match(inst, sol.policy(), sol.policy(), start=off)
+        assert len(sol.stats) == 2
+
+    @pytest.mark.parametrize("builder", [build_directed, build_undirected])
+    def test_stats_count_every_state_once(self, builder):
+        graph, _cmap = builder(generate_random(3, 4, 4, 0.5, seed=1), "1010")
+        inst = GameInstance.from_game_graph(graph)
+        sol = solve(inst)
+        sol._complete()
+        keys = [s.key for s in sol.stats]
+        assert len(set(keys)) == len(keys) > 1
+        assert sum(s.states for s in sol.stats) == 2 * len(graph.nodes) ** 2
+        assert max(s.plies for s in sol.stats) > 0
+        again = solve(inst)
+        again._complete()
+        assert again.stats == sol.stats
+
+
+class TestClassBudget:
+    """The memory budget counts the states of the class about to be solved."""
+
+    def test_an_off_class_query_over_the_budget_is_refused(self, monkeypatch):
+        levels = fan_levels()
+        graph = Graph(directed=True, nodes=tuple(v for level in levels for v in level),
+                      edges=tuple(fan_edges(levels)))
+        inst = GameInstance(graph, "c", "u0", "h")
+        start = solve(inst).stats[0]
+        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", start.states * solver._BYTES_PER_STATE)
+        sol = solve(inst)
+        assert sol.outcome() is Outcome.MOUSE_WIN
+        with pytest.raises(TooLargeError, match="the class to solve has"):
+            sol.value(GameState("w0", "w1", CAT))
+        assert sol.stats == (start,)
+
+    def test_a_node_with_2_15_moves_is_refused(self):
+        # The hub's 2^15 moves would overflow the int16 option counts.  The
+        # start's class is small: the Mouse, one move from the hole, is one
+        # level behind the Cat, and no Mouse node shares a level with a leaf.
+        leaves = tuple(f"v{k}" for k in range(2**15))
+        graph = Graph(directed=True, nodes=("hub", "h", "q", "p") + leaves,
+                      edges=tuple(("hub", v) for v in leaves) + (("p", "q"), ("q", "h")))
+        with pytest.raises(TooLargeError, match="a node has 32768 moves"):
+            solve(GameInstance(graph, "hub", "q", "h"))
 
 
 class TestOnReductionGraphs:

@@ -324,23 +324,18 @@ class TestFuzz:
 def test_verify_decides_only_the_start_class(monkeypatch):
     # verify reads only states that play from the start can reach, so none of
     # its solutions decides the other classes.
-    completions, solutions = [], []
-    complete = solver.Solution._complete
-
-    def counted(self):
-        completions.append(self)
-        complete(self)
+    solutions = []
 
     def recorded(instance):
         solutions.append(solver.solve(instance))
         return solutions[-1]
 
-    monkeypatch.setattr(solver.Solution, "_complete", counted)
     monkeypatch.setattr(verify, "solve", recorded)
     circuit = parse_circuit(THREE_GATE)
     for bits in all_bits(3):
         assert verify_equivalence(circuit, bits).ok
-    assert completions == []
-    # Each board had other classes to leave undecided.
     assert len(solutions) == 16
-    assert all(solution._rest is not None for solution in solutions)
+    for solution in solutions:
+        assert len(solution.stats) == 1
+        # Each board had other classes to leave undecided.
+        assert solution.stats[0].states < 2 * len(solution.instance.graph.nodes) ** 2
