@@ -12,7 +12,9 @@ and each ply then looks only at the predecessors of the states the previous
 ply decided.  A predecessor is won for its mover as soon as one successor is
 won for them; each successor won for the opponent lowers a per-state counter
 of remaining options, and a predecessor whose counter reaches 0 is lost.  All
-work is O(states + state edges), held in flat numpy arrays.  Every value is
+work is O(states + state edges), held in flat numpy arrays: the state tables,
+7 bytes a state, and working memory bounded by ``_SLICE`` and the frontier,
+which is kept in parts of at most ``_SLICE`` states.  Every value is
 recorded relative to the player to move, from the seeds to the ``Solution``
 that answers queries: won, lost, or 0 for undecided.  States never decided
 are draws, matching the classical equivalence with the repetition-draw rule.
@@ -373,18 +375,23 @@ class Solution:
 
 
 # Bytes per (cat, mouse, turn) state of the class being solved: value
-# (int8), distance (int32) and count of options left (int16).
+# (int8), distance (int32) and count of options left (int16).  A solve's
+# peak is these tables plus working memory bounded by ``_SLICE`` and the
+# frontier: the traced peak of directed (12, 64), 13,865 nodes, is 149 MiB
+# over 128.5 MiB of tables, and that of undirected (8, 32), 2,881 nodes,
+# 64.6 MiB over 55.4 MiB.
 _BYTES_PER_STATE = 1 + 4 + 2
 # A class whose state tables would exceed this is refused with TooLargeError
-# instead of running the host out of memory.  It admits undirected boards of
-# about 17,000 nodes, whose start's class is half of the 2n^2 states, and
-# directed ladder boards of about 60,000, whose start's class is under 4% of
-# them.  It keeps a class under 2^31 states, and so its distances within
-# int32; the option counts fit int16 because solving refuses a node with
-# 2^15 moves or more.
+# instead of running the host out of memory; the working memory comes on
+# top.  It admits undirected boards of about 17,000 nodes, whose start's
+# class is half of the 2n^2 states, and directed ladder boards of about
+# 60,000, whose start's class is under 4% of them.  It keeps a class under
+# 2^31 states, and so its distances within int32; the option counts fit
+# int16 because solving refuses a node with 2^15 moves or more.
 _MAX_TABLE_BYTES = 2 * 2**30
-# Predecessors gathered at once; bounds the buffers of a ply.
-_SLICE = 1 << 16
+# States in one part of the frontier, and predecessors gathered at once;
+# bounds the buffers of a ply.
+_SLICE = 1 << 14
 # State values, relative to the player to move; 0 is a draw or undecided.
 _WON, _LOST = 1, 2
 
@@ -433,19 +440,52 @@ def _attract(arena, layout, hole) -> tuple[np.ndarray, np.ndarray, int]:
     left = np.concatenate([degrees[g] for g in layout.mover.tolist()])
 
     dist = np.empty(layout.states, dtype=np.int32)
-    lost = val[seeds] == _LOST
-    frontier = np.concatenate((seeds[lost], seeds[~lost]))
-    n_lost = int(np.count_nonzero(lost))
-    dist[frontier] = 0
+    dist[seeds] = 0
+    lost, won = _Frontier(), _Frontier()
+    is_lost = val[seeds] == _LOST
+    lost.add(seeds[is_lost])
+    won.add(seeds[~is_lost])
+    frontier = lost.close(), won.close()
     plies = 0
-    while frontier.size:
-        frontier, n_lost = _ply(arena, layout, frontier, n_lost, val, left, dist)
-        if frontier.size:
-            plies += 1
-            dist[frontier] = plies
-    # Over the stamps left on the undecided states.
-    dist[val == 0] = -1
+    while True:
+        frontier = _ply(arena, layout, *frontier, val, left, dist)
+        if not any(frontier):
+            break
+        plies += 1
+        for part in frontier[0] + frontier[1]:
+            dist[part] = plies
+    # Over the stamps left on the undecided states, a slice at a time.
+    for lo in range(0, layout.states, _SLICE):
+        dist[lo:lo + _SLICE][val[lo:lo + _SLICE] == 0] = -1
     return val, dist, plies
+
+
+class _Frontier(list):
+    """States in parts of at most ``_SLICE``, the unit ``_ply`` walks.
+
+    ``add`` splits a long run of states and holds short ones back until
+    they fill a part; ``close`` makes the last part and returns the parts.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._held: list[np.ndarray] = []
+        self._count = 0
+
+    def add(self, states: np.ndarray) -> None:
+        for lo in range(0, states.size, _SLICE):
+            run = states[lo:lo + _SLICE]
+            if self._count + run.size > _SLICE:
+                self.close()
+            self._held.append(run)
+            self._count += run.size
+
+    def close(self) -> _Frontier:
+        held = self._held
+        if held:
+            self.append(held[0] if len(held) == 1 else np.concatenate(held))
+            self._held, self._count = [], 0
+        return self
 
 
 class _Classes:
@@ -525,44 +565,46 @@ class _Layout(NamedTuple):
     states: int
 
 
-def _ply(arena, layout, frontier, n_lost, val, left, stamp) -> tuple[np.ndarray, int]:
+def _ply(arena, layout, lost, won, val, left, stamp) -> tuple[_Frontier, _Frontier]:
     """Decide every state whose fate follows from the frontier.
 
-    ``frontier[:n_lost]`` were lost for their mover, the rest won.  Returns
-    the states decided now, those lost for their mover first, and how many
-    those are.  Repeats of a state among the predecessors are grouped with
-    ``stamp``, which only touches undecided states; solve shares it with
-    the distances, set on the states when they are decided.
+    The frontier comes as two ``_Frontier``s: ``lost``, whose states are
+    lost for their mover, and ``won``.  The lost parts are walked first,
+    each predecessor of theirs won, then the won parts, each predecessor
+    losing an option.  Returns the states decided now, lost and won, in the
+    same form, so a ply's buffers are sized to a part or a slice of
+    predecessors, never to the whole frontier.  Repeats of a state among
+    the predecessors are grouped with ``stamp``, which only touches
+    undecided states; solve shares it with the distances, set on the states
+    when they are decided.
     """
-    won_parts: list[np.ndarray] = []
-    lost_parts: list[np.ndarray] = []
-    for pred, cut in arena.predecessors(frontier, n_lost, layout):
-        # A loss for the mover is a win for the mover of each predecessor.
-        won = pred[:cut]
-        won = won[val[won] == 0]
-        if won.size:
-            val[won] = _WON
-            order = arena.order[:won.size]
-            stamp[won] = order
-            won_parts.append(won[stamp[won] == order])
-        # A win for the mover takes one option from each predecessor; one
-        # left with none is lost for its mover.
-        hit = pred[cut:]
-        hit = hit[val[hit] == 0]
-        if hit.size:
-            stamp[hit] = arena.order[:hit.size]
-            times = np.bincount(stamp[hit], minlength=hit.size)
-            kept = times.nonzero()[0]
-            hit = hit[kept]
-            rest = left[hit] - times[kept]
-            left[hit] = rest
-            hit = hit[rest == 0]
+    now_lost, now_won = _Frontier(), _Frontier()
+    # A loss for the mover is a win for the mover of each predecessor.
+    for part in lost:
+        for pred in arena.predecessors(part, layout):
+            pred = pred[val[pred] == 0]
+            if pred.size:
+                val[pred] = _WON
+                order = arena.order[:pred.size]
+                stamp[pred] = order
+                now_won.add(pred[stamp[pred] == order])
+    # A win for the mover takes one option from each predecessor; one left
+    # with none is lost for its mover.
+    for part in won:
+        for hit in arena.predecessors(part, layout):
+            hit = hit[val[hit] == 0]
             if hit.size:
-                val[hit] = _LOST
-                lost_parts.append(hit)
-    n_lost = sum(part.size for part in lost_parts)
-    parts = lost_parts + won_parts
-    return (np.concatenate(parts) if parts else frontier[:0]), n_lost
+                stamp[hit] = arena.order[:hit.size]
+                times = np.bincount(stamp[hit], minlength=hit.size)
+                kept = times.nonzero()[0]
+                hit = hit[kept]
+                rest = left[hit] - times[kept]
+                left[hit] = rest
+                hit = hit[rest == 0]
+                if hit.size:
+                    val[hit] = _LOST
+                    now_lost.add(hit)
+    return now_lost.close(), now_won.close()
 
 
 class _Arena:
@@ -595,36 +637,36 @@ class _Arena:
         longest = min(max(_SLICE, n), 2 * n * len(codes))
         self.order = np.arange(longest + 1, dtype=np.int32)
 
-    def predecessors(self, states: np.ndarray, cut: int, layout: _Layout):
-        """Yield (predecessors, k) slices over ``states``, repeats kept.
-
-        The first k predecessors of a slice come from ``states[:cut]``.
-        """
-        # Lost and won states share one walk, split at ``cut``, so each slice
-        # pays its gathers and index arithmetic once for both.  A walk each
-        # is more code for no gain: on 941-node boards a two-walk ``_ply``
-        # timed 8-10% slower in one measurement and within noise in another.
+    def predecessors(self, states: np.ndarray, layout: _Layout):
+        """Yield the predecessors of ``states``, repeats kept, in slices of
+        at most ``_SLICE`` or those of one state."""
+        # ``_ply`` walks its lost parts and then its won ones, each slice
+        # for one of them.  Against one walk over the whole frontier, split
+        # at a cut, in slices of 2^16, solve timed the same or better on a
+        # shared 2-vCPU host (best CPU time of 21 runs at 941 nodes, of 11
+        # at 2,881): 10.6 ms against 11.5 directed and 44.9 against 47.0
+        # undirected at 941 nodes; 77 ms against 81 and 493 against 501
+        # at 2,881.
         # Row r holds the states from end[r - 1] up to end[r], so a state's
         # row is the number of row ends at or below it.
         rows = layout.end.searchsorted(states, "right")
         up = layout.base[states - layout.back[rows]]
-        ends = self.row_deg[rows].cumsum()
+        counts = self.row_deg[rows]
+        ends = counts.cumsum()
         total = int(ends[-1])
-        split = int(ends[cut - 1]) if cut else 0
         lo = done = 0
         while lo < states.size:
             hi = states.size
             if total - done > _SLICE:
-                hi = max(int(np.searchsorted(ends, done + _SLICE, "right")), lo + 1)
+                hi = max(int(ends.searchsorted(done + _SLICE, "right")), lo + 1)
             upto = int(ends[hi - 1])
-            r = rows[lo:hi]
-            counts = self.row_deg[r]
-            offset = self.row_end[r] - ends[lo:hi]
+            count = counts[lo:hi]
+            offset = self.row_end[rows[lo:hi]] - ends[lo:hi]
             if done:
                 offset += done
-            offset = offset.repeat(counts)
+            offset = offset.repeat(count)
             offset += self.order[:upto - done]
-            yield up[lo:hi].repeat(counts) + self.src[offset], min(max(split - done, 0), upto - done)
+            yield up[lo:hi].repeat(count) + self.src[offset]
             lo, done = hi, upto
 
 

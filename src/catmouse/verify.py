@@ -102,60 +102,14 @@ def verify_equivalence(
     circuit: Circuit, bits, modes=MODES
 ) -> VerificationReport:
     value = bool(evaluate(circuit, bits)[0])
-    expected = Outcome.MOUSE_WIN if value else Outcome.CAT_WIN
     outcomes: dict = {}
     scripted: dict = {}
     violations: list[str] = []
+    # One mode at a time: each board, its solution and its strategies are
+    # freed before the next mode's board is built and solved.
     for mode in modes:
-        graph, cmap = BUILDERS[mode](circuit, bits)
-        violations.extend(
-            f"structure[{mode}]: {p}"
-            for p in audit_board(graph, cmap, circuit, bits)
-        )
-        inst = GameInstance.from_game_graph(graph)
-        solution = solve(inst)
-        outcomes[mode] = solution.outcome()
-        if outcomes[mode] is not expected:
-            violations.append(
-                f"{mode}: solver says {outcomes[mode].value}, "
-                f"circuit value is {value}"
-            )
-        level = cmap.layer[graph.m]
-        if value and outcomes[mode] is expected:
-            plies = solution.dist(inst.initial_state())
-            if plies != 2 * level:
-                violations.append(
-                    f"{mode}: optimal win takes {plies} plies, "
-                    f"expected {2 * level}"
-                )
-        cat = make_mirror_cat(inst, cmap, circuit, bits)
-        mouse = make_true_path_mouse(inst, cmap, circuit, bits)
-        try:
-            transcript = play_match(inst, cat, mouse)
-        except StrategyError as err:
-            violations.append(f"{mode}: scripted match aborted: {err}")
-            scripted[mode] = None
-            continue
-        scripted[mode] = transcript.result
-        if transcript.result is not expected:
-            violations.append(
-                f"{mode}: scripted match ended {transcript.result.value} "
-                f"({transcript.reason}), circuit value is {value}"
-            )
-        elif value:
-            if transcript.reason != "hole":
-                violations.append(
-                    f"{mode}: scripted win by {transcript.reason}, not hole"
-                )
-            if len(transcript.moves) != 2 * level:
-                violations.append(
-                    f"{mode}: scripted win took {len(transcript.moves)} "
-                    f"plies, expected {2 * level}"
-                )
-        elif transcript.reason != "capture":
-            violations.append(
-                f"{mode}: scripted loss by {transcript.reason}, not capture"
-            )
+        outcomes[mode], scripted[mode] = _verify_mode(
+            circuit, bits, mode, value, violations)
     return VerificationReport(
         bits=_bits_text(bits),
         circuit_value=value,
@@ -163,6 +117,62 @@ def verify_equivalence(
         scripted=scripted,
         violations=tuple(violations),
     )
+
+
+def _verify_mode(circuit: Circuit, bits, mode: str, value: bool,
+                 violations: list[str]) -> tuple[Outcome, Outcome | None]:
+    """Check the ``mode`` board of a circuit whose value is ``value``,
+    appending each problem to ``violations``; return the solver's outcome
+    and the scripted match's result, None if the match aborted."""
+    expected = Outcome.MOUSE_WIN if value else Outcome.CAT_WIN
+    graph, cmap = BUILDERS[mode](circuit, bits)
+    violations.extend(
+        f"structure[{mode}]: {p}"
+        for p in audit_board(graph, cmap, circuit, bits)
+    )
+    inst = GameInstance.from_game_graph(graph)
+    solution = solve(inst)
+    outcome = solution.outcome()
+    if outcome is not expected:
+        violations.append(
+            f"{mode}: solver says {outcome.value}, "
+            f"circuit value is {value}"
+        )
+    level = cmap.layer[graph.m]
+    if value and outcome is expected:
+        plies = solution.dist(inst.initial_state())
+        if plies != 2 * level:
+            violations.append(
+                f"{mode}: optimal win takes {plies} plies, "
+                f"expected {2 * level}"
+            )
+    cat = make_mirror_cat(inst, cmap, circuit, bits)
+    mouse = make_true_path_mouse(inst, cmap, circuit, bits)
+    try:
+        transcript = play_match(inst, cat, mouse)
+    except StrategyError as err:
+        violations.append(f"{mode}: scripted match aborted: {err}")
+        return outcome, None
+    if transcript.result is not expected:
+        violations.append(
+            f"{mode}: scripted match ended {transcript.result.value} "
+            f"({transcript.reason}), circuit value is {value}"
+        )
+    elif value:
+        if transcript.reason != "hole":
+            violations.append(
+                f"{mode}: scripted win by {transcript.reason}, not hole"
+            )
+        if len(transcript.moves) != 2 * level:
+            violations.append(
+                f"{mode}: scripted win took {len(transcript.moves)} "
+                f"plies, expected {2 * level}"
+            )
+    elif transcript.reason != "capture":
+        violations.append(
+            f"{mode}: scripted loss by {transcript.reason}, not capture"
+        )
+    return outcome, transcript.result
 
 
 def check_structure(circuit: Circuit, bits, mode: str) -> list[str]:

@@ -39,11 +39,14 @@ def test_ladder_boards(layers, width, builder, bit):
 
 @pytest.mark.parametrize("builder", [build_directed, build_undirected])
 def test_small_slices(builder, monkeypatch):
-    monkeypatch.setattr(solver, "_SLICE", 5)
     circuit = generate_random(3, 4, 4, 0.5, seed=1)
-    for bits in ("1111", "0000", "1010"):
-        graph, _cmap = builder(circuit, bits)
-        assert_same_tables(GameInstance.from_game_graph(graph))
+    # At 1 every part of the frontier is one state and a slice holds the
+    # predecessors of one state, however many.
+    for size in (1, 5):
+        monkeypatch.setattr(solver, "_SLICE", size)
+        for bits in ("1111", "0000", "1010"):
+            graph, _cmap = builder(circuit, bits)
+            assert_same_tables(GameInstance.from_game_graph(graph))
 
 
 def rough_arena(seed):

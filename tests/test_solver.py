@@ -317,6 +317,22 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_solve_needs_little_beyond_the_class_tables(self):
+        # 941 nodes, 885,481 states in the start's class: 5.9 MiB of tables.
+        # Frontier-wide buffers took 6.3 MiB more; parts and slices of at
+        # most _SLICE states take 2.5 MiB.
+        circuit = generate_random(6, 16, 16, 0.5, seed=1)
+        graph, _cmap = build_undirected(circuit, "1" * circuit.num_inputs)
+        instance = GameInstance.from_game_graph(graph)
+        tracemalloc.start()
+        try:
+            solution = solve(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = solution.stats[0].states * solver._BYTES_PER_STATE
+        assert peak - tables < 4 * 2**20
+
 
 class TestPlayMatch:
     def test_optimal_play_lasts_exactly_dist_plies(self):
