@@ -13,13 +13,15 @@ ply decided.  A predecessor is won for its mover as soon as one successor is
 won for them; each successor won for the opponent lowers a per-state counter
 of remaining options, and a predecessor whose counter reaches 0 is lost.  All
 work is O(states + state edges), held in flat numpy arrays: the state tables,
-7 bytes a state, and working memory bounded by ``_SLICE`` and the frontier,
-which is kept in parts of at most ``_SLICE`` states.  Every value is
-recorded relative to the player to move, from the seeds to the ``Solution``
-that answers queries: won, lost, or 0 for undecided.  States never decided
-are draws, matching the classical equivalence with the repetition-draw rule.
-The recorded distance is plies-to-termination under optimal play: winners
-minimize it, losers maximize it.
+4 to 7 bytes a state (see ``_BYTES_PER_STATE``), and working memory bounded
+by ``_SLICE`` and the frontier, which is kept in parts of at most ``_SLICE``
+states.  Every value is recorded relative to the player to move: won, lost,
+or 0 for undecided.  States never decided are draws, matching the classical
+equivalence with the repetition-draw rule.  The recorded distance is
+plies-to-termination under optimal play: winners minimize it, losers
+maximize it.  Once a class is decided, its value and distance become one
+code a state, 2 or 4 bytes, which the ``Solution`` keeps and answers
+queries from.
 
 No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
 period (see ``_Classes``), so the states fall into classes closed under
@@ -198,22 +200,23 @@ class ClassStats(NamedTuple):
 
 class _Tables(NamedTuple):
     """A decided class: state (t, a, b), nodes by graph index, sits at
-    ``rows[t][a] + slot[b]`` in ``val`` and ``dist``.  These are read-only
-    views of the solver's arrays: indexing one gives a Python int in about
-    half the time ``ndarray.item`` takes."""
+    ``rows[t][a] + slot[b]`` in ``code`` (see ``Solution``), a read-only
+    view of the solver's array: indexing it gives a Python int in about half
+    the time ``ndarray.item`` takes."""
 
     rows: tuple[list, list]
-    val: memoryview
-    dist: memoryview
+    code: memoryview
 
 
 class Solution:
     """Value and optimal-play distance of every state, and an optimal policy.
 
     A state (t, a, b) has t = 0 with the Cat to move and 1 with the Mouse, b
-    the mover's node and a the other player's.  Its value is 1 (``_WON``) or
-    2 (``_LOST``) for the player to move, or 0 for a draw, whose distance is
-    -1.
+    the mover's node and a the other player's.  Its value and distance are
+    kept as one code: 2d + 1 if it is lost for the player to move in d
+    plies, 2d if it is won in d, and -1 for a draw.  So ``code >> 1`` is the
+    distance, -1 for a draw, and the low bit of a decided state's code says
+    whether the mover loses.
 
     No move changes a state's key, ``level(cat) - level(mouse) - t`` taken
     modulo the board's period (exactly at period 0; see ``_Classes``).  So
@@ -283,20 +286,10 @@ class Solution:
         # decide many, as directed boards have dozens.
         self._arena = arena if self._tables else None
         layout = self._classes.layout(key)
-        need = layout.states * _BYTES_PER_STATE
-        if need > _MAX_TABLE_BYTES:
-            raise TooLargeError(
-                f"{arena.n} nodes: the class to solve has {layout.states} states, "
-                f"which need {need / 2**30:.1f} GiB of state tables; "
-                f"the solver allows {_MAX_TABLE_BYTES / 2**30:.0f} GiB"
-            )
-        most = int(arena.out_deg.max())
-        if most >= 2**15:
-            raise TooLargeError(f"a node has {most} moves; the solver allows {2**15 - 1}")
-        val, dist, plies = _attract(arena, layout, self._slot[self._index[self.instance.hole]])
+        code, plies = _attract(arena, layout, self._slot[self._index[self.instance.hole]])
         slot = self._classes.slot
         rows = layout.base[slot].tolist(), layout.base[slot + arena.n].tolist()
-        tables = _Tables(rows, memoryview(val).toreadonly(), memoryview(dist).toreadonly())
+        tables = _Tables(rows, memoryview(code).toreadonly())
         self._tables[key] = tables
         self._stats.append(ClassStats(key, layout.states, plies))
         return tables
@@ -308,37 +301,39 @@ class Solution:
                 self._decide(key)
 
     def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every state's value and distance as (2, n, n) tables indexed
-        [t, a, b] by graph index, for comparison with other solvers; the
-        states of classes not decided read value -1."""
+        """Every state's value (int8: 1 won for the mover, 2 lost, 0 a
+        draw) and distance (int32) as (2, n, n) tables indexed [t, a, b] by
+        graph index, for comparison with other solvers; the states of
+        classes not decided read value -1."""
         classes = self._classes
         n = classes.n
-        # In the dtypes of the start's class, which ``solve`` decided.
-        start = next(iter(self._tables.values()))
-        vals = np.full((2, n, n), -1, dtype=np.asarray(start.val).dtype)
-        dists = np.full((2, n, n), -1, dtype=np.asarray(start.dist).dtype)
+        vals = np.full((2, n, n), -1, dtype=np.int8)
+        dists = np.full((2, n, n), -1, dtype=np.int32)
         for key, tables in self._tables.items():
             layout = classes.layout(key)
             length = classes.size[layout.mover]
             row = np.arange(2 * n).repeat(length)
             cell = (row // n, row % n, np.arange(layout.states) - layout.base.repeat(length))
-            vals[cell], dists[cell] = tables.val, tables.dist
+            code = np.asarray(tables.code)
+            vals[cell] = np.where(code < 0, 0, np.where(code & 1, _LOST, _WON))
+            dists[cell] = code >> 1
         slot = classes.slot
         return vals[:, slot][:, :, slot], dists[:, slot][:, :, slot]
 
     def value(self, state: GameState) -> Outcome:
-        (_rows, val, _dist), _turn, _other, at = self._locate(state)
-        code = val[at]
-        if code == 0:
+        (_rows, codes), _turn, _other, at = self._locate(state)
+        code = codes[at]
+        if code < 0:
             return Outcome.DRAW
-        if (code == _WON) == (state.turn == CAT):
+        # An even code is a win for the player to move.
+        if (not code & 1) == (state.turn == CAT):
             return Outcome.CAT_WIN
         return Outcome.MOUSE_WIN
 
     def dist(self, state: GameState) -> int | None:
         """Plies to termination under optimal play; None for draws."""
-        (_rows, _val, dist), _turn, _other, at = self._locate(state)
-        plies = dist[at]
+        (_rows, codes), _turn, _other, at = self._locate(state)
+        plies = codes[at] >> 1
         return None if plies < 0 else plies
 
     def outcome(self) -> Outcome:
@@ -350,7 +345,7 @@ class Solution:
         None where play has ended or the mover is stuck."""
         if classify(state, self.instance) is not None:
             return None
-        (rows, val, dist), turn, other, _at = self._locate(state)
+        (rows, codes), turn, other, _at = self._locate(state)
         # The successors (1 - turn, move, other) are in the same class.  They
         # are read cell by cell: ``GameState.after`` and ``_locate`` per move
         # timed up to a third slower in playouts.
@@ -358,11 +353,11 @@ class Solution:
         rows, at_other = rows[1 - turn], self._slot[other]
         best = None
         for move in graph.neighbors_out(state.position):
-            at = rows[index[move]] + at_other
-            code, plies = val[at], dist[at]
+            code = codes[rows[index[move]] + at_other]
             # A successor lost for the opponent, who moves there, is a win.
-            # Every draw has distance -1, so draws tie on it.
-            rank = 0 if code == _LOST else 1 if code == 0 else 2
+            # Every draw has code -1, so draws tie on the distance.
+            rank = 1 if code < 0 else 0 if code & 1 else 2
+            plies = code >> 1
             key = (rank, -plies if rank else plies, move)
             if best is None or key < best:
                 best = key
@@ -375,19 +370,26 @@ class Solution:
 
 
 # Bytes per (cat, mouse, turn) state of the class being solved: value
-# (int8), distance (int32) and count of options left (int16).  A solve's
-# peak is these tables plus working memory bounded by ``_SLICE`` and the
-# frontier: the traced peak of directed (12, 64), 13,865 nodes, is 149 MiB
-# over 128.5 MiB of tables, and that of undirected (8, 32), 2,881 nodes,
-# 64.6 MiB over 55.4 MiB.
-_BYTES_PER_STATE = 1 + 4 + 2
+# (int8), count of options left (int8) and distance (int16), on a board of
+# fewer than 32,768 nodes and fewer than 128 moves from any node.  A node of
+# more moves takes int16 counts, a larger board int32 distances, and a class
+# whose plies reach 2^14 widens its distances to int32 then (see
+# ``_attract``).  Once decided, a class keeps only the distances, rewritten
+# as one code a state (see ``Solution``): 2 bytes, or 4 where int32.  A
+# solve's peak is the tables plus working memory bounded by ``_SLICE`` and
+# the frontier: the traced peak of directed (12, 64), 13,865 nodes, is 94
+# MiB over 73.4 MiB of tables, and that of undirected (8, 32), 2,881 nodes,
+# whose hole has 318 moves, 48.6 MiB over 39.6 MiB at 5 bytes a state.
+_BYTES_PER_STATE = 1 + 1 + 2
 # A class whose state tables would exceed this is refused with TooLargeError
 # instead of running the host out of memory; the working memory comes on
-# top.  It admits undirected boards of about 17,000 nodes, whose start's
-# class is half of the 2n^2 states, and directed ladder boards of about
-# 60,000, whose start's class is under 4% of them.  It keeps a class under
-# 2^31 states, and so its distances within int32; the option counts fit
-# int16 because solving refuses a node with 2^15 moves or more.
+# top.  It admits undirected ladder boards of about 20,000 nodes, whose
+# start's class is half of the 2n^2 states and whose hole has hundreds of
+# moves, so 5 bytes a state; and directed ladder boards of about 65,000,
+# whose start's class is under 4% of them, at 6 bytes a state past 32,768
+# nodes.  It keeps a class under 2^31 states, and so its distances within
+# int32; the option counts fit int16 because solving refuses a node with
+# 2^15 moves or more.
 _MAX_TABLE_BYTES = 2 * 2**30
 # States in one part of the frontier, and predecessors gathered at once;
 # bounds the buffers of a ply.
@@ -404,10 +406,18 @@ def solve(instance: GameInstance) -> Solution:
     return solution
 
 
-def _attract(arena, layout, hole) -> tuple[np.ndarray, np.ndarray, int]:
-    """Decide the class laid out by ``layout`` (see ``Solution``): its value
-    and distance tables, and the plies that decided states.  ``hole`` is a
-    slot; states left undecided get distance -1, the draws' distance."""
+def _attract(arena, layout, hole) -> tuple[np.ndarray, int]:
+    """Decide the class laid out by ``layout``: the code of each state (see
+    ``Solution``) and the plies that decided states.  ``hole`` is a slot.
+    A class whose tables would exceed ``_MAX_TABLE_BYTES`` is refused with
+    TooLargeError, before they are allocated or as its distances widen."""
+    most = int(arena.out_deg.max())
+    if most >= 2**15:
+        raise TooLargeError(f"a node has {most} moves; the solver allows {2**15 - 1}")
+    count_type = np.dtype(np.int8 if most < 2**7 else np.int16)
+    # The distances hold ``arena.order`` stamps until the states are decided.
+    dist_type = arena.order.dtype
+    _check_budget(arena, layout, 1 + count_type.itemsize + dist_type.itemsize)
     n, group, base = arena.n, arena.classes.group, layout.base
     val = np.zeros(layout.states, dtype=np.int8)
     # Capture on the diagonal and the Mouse home at the hole, in every
@@ -436,10 +446,10 @@ def _attract(arena, layout, hole) -> tuple[np.ndarray, np.ndarray, int]:
     # Each state starts with its mover's out-degree of options; a row holds
     # the movers of its group in slot order.
     first, size = arena.classes.first.tolist(), arena.classes.size.tolist()
-    degrees = [arena.out_deg[f:f + k].astype(np.int16) for f, k in zip(first, size)]
+    degrees = [arena.out_deg[f:f + k].astype(count_type) for f, k in zip(first, size)]
     left = np.concatenate([degrees[g] for g in layout.mover.tolist()])
 
-    dist = np.empty(layout.states, dtype=np.int32)
+    dist = np.empty(layout.states, dtype=dist_type)
     dist[seeds] = 0
     lost, won = _Frontier(), _Frontier()
     is_lost = val[seeds] == _LOST
@@ -452,12 +462,33 @@ def _attract(arena, layout, hole) -> tuple[np.ndarray, np.ndarray, int]:
         if not any(frontier):
             break
         plies += 1
+        if plies == 2**14 and dist.dtype == np.int16:
+            # The code 2 * plies + 1 would not fit int16.
+            _check_budget(arena, layout, 1 + left.itemsize + 4)
+            dist = dist.astype(np.int32)
         for part in frontier[0] + frontier[1]:
             dist[part] = plies
-    # Over the stamps left on the undecided states, a slice at a time.
+    del left
+    # The distances become the codes in place, a slice at a time; the
+    # undecided states' stamps become the draws' -1.
     for lo in range(0, layout.states, _SLICE):
-        dist[lo:lo + _SLICE][val[lo:lo + _SLICE] == 0] = -1
-    return val, dist, plies
+        code, value = dist[lo:lo + _SLICE], val[lo:lo + _SLICE]
+        code <<= 1
+        code += value == _LOST
+        code[value == 0] = -1
+    return dist, plies
+
+
+def _check_budget(arena, layout, per_state: int) -> None:
+    """Refuse the class if its tables, ``per_state`` bytes a state, would
+    exceed ``_MAX_TABLE_BYTES``."""
+    need = layout.states * per_state
+    if need > _MAX_TABLE_BYTES:
+        raise TooLargeError(
+            f"{arena.n} nodes: the class to solve has {layout.states} states, "
+            f"which need {need / 2**30:.1f} GiB of state tables; "
+            f"the solver allows {_MAX_TABLE_BYTES / 2**30:.0f} GiB"
+        )
 
 
 class _Frontier(list):
@@ -573,37 +604,36 @@ def _ply(arena, layout, lost, won, val, left, stamp) -> tuple[_Frontier, _Fronti
     each predecessor of theirs won, then the won parts, each predecessor
     losing an option.  Returns the states decided now, lost and won, in the
     same form, so a ply's buffers are sized to a part or a slice of
-    predecessors, never to the whole frontier.  Repeats of a state among
-    the predecessors are grouped with ``stamp``, which only touches
-    undecided states; solve shares it with the distances, set on the states
-    when they are decided.
+    predecessors, never to the whole frontier.  ``np.subtract.at`` takes an
+    option for each repeat of a state among the predecessors, in the
+    counts' own dtype, which keeps it on numpy's fast loop.  A state decided
+    now is kept once, its first repeat found with ``stamp``, which only
+    touches undecided states; solve shares it with the distances, set on
+    the states when they are decided.
     """
     now_lost, now_won = _Frontier(), _Frontier()
+    order = arena.order
     # A loss for the mover is a win for the mover of each predecessor.
     for part in lost:
         for pred in arena.predecessors(part, layout):
             pred = pred[val[pred] == 0]
             if pred.size:
                 val[pred] = _WON
-                order = arena.order[:pred.size]
-                stamp[pred] = order
-                now_won.add(pred[stamp[pred] == order])
+                stamp[pred] = order[:pred.size]
+                now_won.add(pred[stamp[pred] == order[:pred.size]])
     # A win for the mover takes one option from each predecessor; one left
     # with none is lost for its mover.
+    one = left.dtype.type(1)
     for part in won:
         for hit in arena.predecessors(part, layout):
             hit = hit[val[hit] == 0]
             if hit.size:
-                stamp[hit] = arena.order[:hit.size]
-                times = np.bincount(stamp[hit], minlength=hit.size)
-                kept = times.nonzero()[0]
-                hit = hit[kept]
-                rest = left[hit] - times[kept]
-                left[hit] = rest
-                hit = hit[rest == 0]
+                np.subtract.at(left, hit, one)
+                hit = hit[left[hit] == 0]
                 if hit.size:
                     val[hit] = _LOST
-                    now_lost.add(hit)
+                    stamp[hit] = order[:hit.size]
+                    now_lost.add(hit[stamp[hit] == order[:hit.size]])
     return now_lost.close(), now_won.close()
 
 
@@ -634,8 +664,9 @@ class _Arena:
         self.row_end = np.concatenate((ends, ends))
         # 0, 1, 2, ...: as long as the largest slice of predecessors, which
         # holds at most _SLICE of them or those of one state (fewer than n).
+        # int16 while it fits, as are the distances that hold these stamps.
         longest = min(max(_SLICE, n), 2 * n * len(codes))
-        self.order = np.arange(longest + 1, dtype=np.int32)
+        self.order = np.arange(longest + 1, dtype=np.int16 if longest < 2**15 else np.int32)
 
     def predecessors(self, states: np.ndarray, layout: _Layout):
         """Yield the predecessors of ``states``, repeats kept, in slices of

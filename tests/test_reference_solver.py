@@ -13,7 +13,8 @@ import pytest
 from catmouse.circuits import generate_random
 from catmouse import solver
 from catmouse.reduction import build_directed, build_undirected
-from catmouse.solver import CAT, MOUSE, GameInstance, GameState, Graph, solve
+from catmouse.solver import (CAT, MOUSE, GameInstance, GameState, Graph, Outcome,
+                             TooLargeError, solve)
 
 from conftest import random_placement
 from reference_solver import solve as reference_solve
@@ -117,6 +118,28 @@ def test_arenas_of_several_classes(period):
         instance = GameInstance(graph, *random_placement(graph, seed))
         assert solve(instance)._classes.period == period
         assert_same_tables(instance)
+
+
+@pytest.mark.parametrize("moves", [127, 128])
+def test_a_hub_of_many_moves(moves, monkeypatch):
+    # The Mouse at the hub loses only once every one of its moves, each to
+    # a sink, is won for the Cat, which loops on its node.  The self-loop
+    # makes one class of every state.
+    leaves = tuple(f"v{k}" for k in range(moves))
+    graph = Graph(directed=True, nodes=("c", "hub", "h") + leaves,
+                  edges=(("c", "c"),) + tuple(("hub", v) for v in leaves))
+    instance = GameInstance(graph, "c", "hub", "h")
+    assert_same_tables(instance)
+    assert solve(instance).value(GameState("c", "hub", MOUSE)) is Outcome.CAT_WIN
+    # The option counts are int8 up to 127 moves a node and int16 from 128,
+    # a byte a state more than the budget below allows.
+    monkeypatch.setattr(solver, "_MAX_TABLE_BYTES",
+                        2 * len(graph.nodes) ** 2 * solver._BYTES_PER_STATE)
+    if moves < 128:
+        assert solve(instance).outcome() is Outcome.CAT_WIN
+    else:
+        with pytest.raises(TooLargeError, match="the class to solve has"):
+            solve(instance)
 
 
 def test_a_start_class_under_the_budget_solves_on_a_board_over_it(monkeypatch):

@@ -101,6 +101,18 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             Graph(True, ("a", "b", "a", "h"), (("a", "b"), ("b", "h")))
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("edge", [("a", "zz"), ("zz", "a")])
+    def test_an_edge_end_that_is_no_node_is_named(self, directed, edge):
+        with pytest.raises(InvalidInstanceError) as raised:
+            Graph(directed, ("a", "b"), (("a", "b"), edge))
+        assert str(raised.value) == f"edge {edge!r} uses unknown node"
+
+    def test_the_earliest_node_listed_twice_is_named(self):
+        with pytest.raises(InvalidInstanceError) as raised:
+            Graph(True, ("a", "b", "c", "b", "a"), (("a", "b"),))
+        assert str(raised.value) == "node 'a' listed twice"
+
 
 class TestHasEdge:
     def test_undirected_edge_answers_both_ways(self):
@@ -332,6 +344,66 @@ class TestMemoryBudget:
             tracemalloc.stop()
         tables = solution.stats[0].states * solver._BYTES_PER_STATE
         assert peak - tables < 4 * 2**20
+
+    def test_a_solution_keeps_2_bytes_a_state(self):
+        # One int16 code a state of the start's class; the arena is freed.
+        states, kept, _peak = traced_solve_of_the_undirected_6_16_ladder()
+        assert kept < 2.5 * states
+
+    def test_solve_peaks_under_4_bytes_a_state_over_the_working_memory(self):
+        # Value, option count and distance take 1, 1 and 2 bytes while the
+        # class is solved: the hole's 126 moves are the most on this board.
+        states, _kept, peak = traced_solve_of_the_undirected_6_16_ladder()
+        assert peak < 4 * states + 4 * 2**20
+
+
+def traced_solve_of_the_undirected_6_16_ladder():
+    """The states of the start's class, and the traced memory that solving
+    them leaves held and takes at its peak."""
+    circuit = generate_random(6, 16, 16, 0.5, seed=1)
+    graph, _cmap = build_undirected(circuit, "1" * circuit.num_inputs)
+    instance = GameInstance.from_game_graph(graph)
+    tracemalloc.start()
+    try:
+        solution = solve(instance)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return solution.stats[0].states, kept, peak
+
+
+class TestTableWidths:
+    """Distances are int16 until a class's plies reach 2^14, when the codes
+    2d + 1 would no longer fit, and int32 from then on."""
+
+    @staticmethod
+    def two_paths(mouse_edges):
+        # Each player on a path of its own, the Mouse's ending at the hole;
+        # the Cat's is longer, so the Cat is never stuck and the Mouse wins
+        # in 2 * mouse_edges plies.
+        mouse = [f"m{k}" for k in range(mouse_edges)] + ["h"]
+        cat = [f"c{k}" for k in range(mouse_edges + 2)]
+        edges = list(zip(mouse, mouse[1:])) + list(zip(cat, cat[1:]))
+        graph = Graph(directed=True, nodes=tuple(mouse + cat), edges=tuple(edges))
+        return GameInstance(graph, "c0", "m0", "h")
+
+    @pytest.mark.parametrize("mouse_edges,width", [(8_100, 2), (8_200, 4)])
+    def test_the_codes_widen_once_the_plies_reach_2_14(self, mouse_edges, width):
+        inst = self.two_paths(mouse_edges)
+        sol = solve(inst)
+        start = sol.stats[0]
+        assert start.plies == 2 * mouse_edges
+        assert sol.value(inst.initial_state()) is Outcome.MOUSE_WIN
+        assert sol.dist(inst.initial_state()) == 2 * mouse_edges
+        assert sol._tables[start.key].code.nbytes == width * start.states
+
+    def test_widening_past_the_budget_is_refused(self, monkeypatch):
+        # The budget admits the class's narrow tables, not their widening.
+        inst = self.two_paths(8_200)
+        states = solve(inst).stats[0].states
+        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", states * solver._BYTES_PER_STATE)
+        with pytest.raises(TooLargeError, match="the class to solve has"):
+            solve(inst)
 
 
 class TestPlayMatch:
