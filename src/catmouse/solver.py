@@ -13,15 +13,16 @@ ply decided.  A predecessor is won for its mover as soon as one successor is
 won for them; each successor won for the opponent lowers a per-state counter
 of remaining options, and a predecessor whose counter reaches 0 is lost.  All
 work is O(states + state edges), held in flat numpy arrays: the state tables,
-4 to 7 bytes a state (see ``_BYTES_PER_STATE``), and working memory bounded
-by ``_SLICE`` and the frontier, which is kept in parts of at most ``_SLICE``
-states.  Every value is recorded relative to the player to move: won, lost,
-or 0 for undecided.  States never decided are draws, matching the classical
-equivalence with the repetition-draw rule.  The recorded distance is
-plies-to-termination under optimal play: winners minimize it, losers
-maximize it.  Once a class is decided, its value and distance become one
-code a state, 2 or 4 bytes, which the ``Solution`` keeps and answers
-queries from.
+a count of options left and a distance, 3 to 6 bytes a state (see
+``_BYTES_PER_STATE``), and working memory bounded by ``_SLICE`` and the
+frontier, which is kept in parts of at most ``_SLICE`` states.  A state is
+undecided while it has options left; deciding it sets its count to 0, and
+its value, relative to the player to move, is that of the frontier that
+decided it: won or lost.  States never decided are draws, matching the
+classical equivalence with the repetition-draw rule.  The recorded distance
+is plies-to-termination under optimal play: winners minimize it, losers
+maximize it.  Each decided state's value and distance are written as one
+code, 2 or 4 bytes, which the ``Solution`` keeps and answers queries from.
 
 No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
 period (see ``_Classes``), so the states fall into classes closed under
@@ -369,32 +370,36 @@ class Solution:
         return self._move
 
 
-# Bytes per (cat, mouse, turn) state of the class being solved: value
-# (int8), count of options left (int8) and distance (int16), on a board of
-# fewer than 32,768 nodes and fewer than 128 moves from any node.  A node of
-# more moves takes int16 counts, a larger board int32 distances, and a class
-# whose plies reach 2^14 widens its distances to int32 then (see
-# ``_attract``).  Once decided, a class keeps only the distances, rewritten
-# as one code a state (see ``Solution``): 2 bytes, or 4 where int32.  A
-# solve's peak is the tables plus working memory bounded by ``_SLICE`` and
-# the frontier: the traced peak of directed (12, 64), 13,865 nodes, is 94
-# MiB over 73.4 MiB of tables, and that of undirected (8, 32), 2,881 nodes,
-# whose hole has 318 moves, 48.6 MiB over 39.6 MiB at 5 bytes a state.
-_BYTES_PER_STATE = 1 + 1 + 2
+# Bytes per (cat, mouse, turn) state of the class being solved: count of
+# options left (int8) and distance (int16), on a board of fewer than 32,768
+# nodes and fewer than 128 moves from any node.  No table holds the values:
+# a state is undecided while it has options left, and the frontier that
+# decides it says whether it is lost or won (see ``_attract``).  A node of
+# more moves takes int16 counts, a larger board int32 distances, and a
+# class whose plies reach 2^14 widens its distances to int32 then.  The
+# distances are written as one code a state (see ``Solution``), which is
+# all a decided class keeps: 2 bytes, or 4 where int32.  A solve's peak is
+# the tables plus working memory bounded by ``_SLICE`` and the frontier:
+# the traced peak of directed (12, 64), 13,865 nodes, is 67.3 MiB over 55.1
+# MiB of tables, and that of undirected (8, 32), 2,881 nodes, whose hole
+# has 318 moves, 37.2 MiB over 31.7 MiB at 4 bytes a state.
+_BYTES_PER_STATE = 1 + 2
 # A class whose state tables would exceed this is refused with TooLargeError
 # instead of running the host out of memory; the working memory comes on
-# top.  It admits undirected ladder boards of about 20,000 nodes, whose
+# top.  It admits undirected ladder boards of about 23,000 nodes, whose
 # start's class is half of the 2n^2 states and whose hole has hundreds of
-# moves, so 5 bytes a state; and directed ladder boards of about 65,000,
-# whose start's class is under 4% of them, at 6 bytes a state past 32,768
+# moves, so 4 bytes a state; and directed ladder boards of about 70,000,
+# whose start's class is under 4% of them, at 5 bytes a state past 32,768
 # nodes.  It keeps a class under 2^31 states, and so its distances within
-# int32; the option counts fit int16 because solving refuses a node with
-# 2^15 moves or more.
+# int32 and its state indices within the frontier's int32 parts; the
+# option counts fit int16 because solving refuses a node with 2^15 moves or
+# more.
 _MAX_TABLE_BYTES = 2 * 2**30
 # States in one part of the frontier, and predecessors gathered at once;
 # bounds the buffers of a ply.
 _SLICE = 1 << 14
-# State values, relative to the player to move; 0 is a draw or undecided.
+# State values in ``Solution._dense``, relative to the player to move; 0 is
+# a draw.
 _WON, _LOST = 1, 2
 
 
@@ -409,73 +414,69 @@ def solve(instance: GameInstance) -> Solution:
 def _attract(arena, layout, hole) -> tuple[np.ndarray, int]:
     """Decide the class laid out by ``layout``: the code of each state (see
     ``Solution``) and the plies that decided states.  ``hole`` is a slot.
-    A class whose tables would exceed ``_MAX_TABLE_BYTES`` is refused with
-    TooLargeError, before they are allocated or as its distances widen."""
+
+    Two arrays of the class's size do all the work.  ``left`` counts each
+    state's options, and a state is undecided exactly while it has some:
+    deciding it sets its count to 0.  ``dist`` holds the undecided states'
+    ``arena.order`` stamps (see ``_ply``), and each decided state's code,
+    written as the next ply walks the frontier that holds it, which says
+    whether it is lost or won.  A class whose tables would exceed
+    ``_MAX_TABLE_BYTES`` is refused with TooLargeError, before they are
+    allocated or as its distances widen."""
     most = int(arena.out_deg.max())
     if most >= 2**15:
         raise TooLargeError(f"a node has {most} moves; the solver allows {2**15 - 1}")
     count_type = np.dtype(np.int8 if most < 2**7 else np.int16)
-    # The distances hold ``arena.order`` stamps until the states are decided.
     dist_type = arena.order.dtype
-    _check_budget(arena, layout, 1 + count_type.itemsize + dist_type.itemsize)
+    _check_budget(arena, layout, count_type.itemsize + dist_type.itemsize)
     n, group, base = arena.n, arena.classes.group, layout.base
-    val = np.zeros(layout.states, dtype=np.int8)
-    # Capture on the diagonal and the Mouse home at the hole, in every
-    # class: rows t*n + a, movers b and values of the terminal states.
-    nodes = np.arange(n)
-    away = np.flatnonzero(nodes != hole)
-    at_hole = np.full(away.size, hole)
-    rows = np.concatenate((nodes, n + nodes, at_hole, n + away))
-    movers = np.concatenate((nodes, nodes, away, at_hole))
-    codes = np.repeat(np.array([_WON, _LOST, _LOST, _WON], dtype=np.int8),
-                      (n, n, away.size, away.size))
-    here = layout.mover[rows] == group[movers]
-    seeds = [base[rows[here]] + movers[here]]
-    val[seeds[0]] = codes[here]
-    # A player to move with no way out loses on the spot: the stuck movers'
-    # columns, in the rows that hold their group.
-    stuck = np.flatnonzero(arena.out_deg == 0)
-    for g in np.flatnonzero(np.bincount(group[stuck])):
-        rows = np.flatnonzero(layout.mover == g)
-        cells = (base[rows, None] + stuck[group[stuck] == g]).reshape(-1)
-        cells = cells[val[cells] == 0]
-        val[cells] = _LOST
-        seeds.append(cells)
-    seeds = np.concatenate(seeds)
-
     # Each state starts with its mover's out-degree of options; a row holds
     # the movers of its group in slot order.
     first, size = arena.classes.first.tolist(), arena.classes.size.tolist()
     degrees = [arena.out_deg[f:f + k].astype(count_type) for f, k in zip(first, size)]
     left = np.concatenate([degrees[g] for g in layout.mover.tolist()])
-
     dist = np.empty(layout.states, dtype=dist_type)
-    dist[seeds] = 0
+
+    # Capture on the diagonal and the Mouse home at the hole, in every
+    # class: rows t*n + a, movers b, and whether the mover has lost.
+    nodes = np.arange(n)
+    away = np.flatnonzero(nodes != hole)
+    at_hole = np.full(away.size, hole)
+    rows = np.concatenate((nodes, n + nodes, at_hole, n + away))
+    movers = np.concatenate((nodes, nodes, away, at_hole))
+    has_lost = np.repeat([False, True, True, False], (n, n, away.size, away.size))
+    here = layout.mover[rows] == group[movers]
+    terminal = base[rows[here]] + movers[here]
+    left[terminal] = 0
+    is_lost = has_lost[here]
     lost, won = _Frontier(), _Frontier()
-    is_lost = val[seeds] == _LOST
-    lost.add(seeds[is_lost])
-    won.add(seeds[~is_lost])
+    lost.add(terminal[is_lost])
+    won.add(terminal[~is_lost])
+    # A player to move with no way out loses on the spot: the stuck movers'
+    # cells that are not terminal, in the rows that hold their group.  Their
+    # counts start at 0.
+    stuck = np.flatnonzero(arena.out_deg == 0)
+    for g in np.flatnonzero(np.bincount(group[stuck])):
+        rows = np.flatnonzero(layout.mover == g)[:, None]
+        movers = stuck[group[stuck] == g]
+        other = rows % n
+        live = (other != movers) & np.where(rows < n, other != hole, movers != hole)
+        lost.add((base[rows] + movers)[live])
     frontier = lost.close(), won.close()
+
     plies = 0
     while True:
-        frontier = _ply(arena, layout, *frontier, val, left, dist)
+        frontier = _ply(arena, layout, *frontier, plies, left, dist)
         if not any(frontier):
             break
         plies += 1
         if plies == 2**14 and dist.dtype == np.int16:
             # The code 2 * plies + 1 would not fit int16.
-            _check_budget(arena, layout, 1 + left.itemsize + 4)
+            _check_budget(arena, layout, left.itemsize + 4)
             dist = dist.astype(np.int32)
-        for part in frontier[0] + frontier[1]:
-            dist[part] = plies
-    del left
-    # The distances become the codes in place, a slice at a time; the
-    # undecided states' stamps become the draws' -1.
+    # The undecided states' stamps become the draws' -1, a slice at a time.
     for lo in range(0, layout.states, _SLICE):
-        code, value = dist[lo:lo + _SLICE], val[lo:lo + _SLICE]
-        code <<= 1
-        code += value == _LOST
-        code[value == 0] = -1
+        dist[lo:lo + _SLICE][left[lo:lo + _SLICE] != 0] = -1
     return dist, plies
 
 
@@ -496,6 +497,12 @@ class _Frontier(list):
 
     ``add`` splits a long run of states and holds short ones back until
     they fill a part; ``close`` makes the last part and returns the parts.
+    Every part but the last is stored as int32, half of intp: a large
+    frontier is most of a solve's working memory beyond its tables, and
+    ``_MAX_TABLE_BYTES`` keeps every state index under 2^31.  The last part
+    keeps the dtype of its runs, so a frontier of one part, as on small
+    boards, is never converted: numpy converts an int32 index on every
+    gather, a fixed cost a call that a full part's states dwarf.
     """
 
     def __init__(self):
@@ -507,16 +514,19 @@ class _Frontier(list):
         for lo in range(0, states.size, _SLICE):
             run = states[lo:lo + _SLICE]
             if self._count + run.size > _SLICE:
-                self.close()
+                self._part(np.concatenate(self._held, dtype=np.int32))
             self._held.append(run)
             self._count += run.size
 
     def close(self) -> _Frontier:
         held = self._held
         if held:
-            self.append(held[0] if len(held) == 1 else np.concatenate(held))
-            self._held, self._count = [], 0
+            self._part(held[0] if len(held) == 1 else np.concatenate(held))
         return self
+
+    def _part(self, states: np.ndarray) -> None:
+        self.append(states)
+        self._held, self._count = [], 0
 
 
 class _Classes:
@@ -596,44 +606,48 @@ class _Layout(NamedTuple):
     states: int
 
 
-def _ply(arena, layout, lost, won, val, left, stamp) -> tuple[_Frontier, _Frontier]:
+def _ply(arena, layout, lost, won, plies, left, dist) -> tuple[_Frontier, _Frontier]:
     """Decide every state whose fate follows from the frontier.
 
     The frontier comes as two ``_Frontier``s: ``lost``, whose states are
     lost for their mover, and ``won``.  The lost parts are walked first,
-    each predecessor of theirs won, then the won parts, each predecessor
-    losing an option.  Returns the states decided now, lost and won, in the
-    same form, so a ply's buffers are sized to a part or a slice of
-    predecessors, never to the whole frontier.  ``np.subtract.at`` takes an
-    option for each repeat of a state among the predecessors, in the
-    counts' own dtype, which keeps it on numpy's fast loop.  A state decided
-    now is kept once, its first repeat found with ``stamp``, which only
-    touches undecided states; solve shares it with the distances, set on
-    the states when they are decided.
+    each undecided predecessor of theirs won, then the won parts, each
+    undecided predecessor losing an option.  A state is undecided while
+    ``left``, its count of options, is not 0; deciding it sets the count to
+    0.  Returns the states decided now, lost and won, in the same form, so
+    a ply's buffers are sized to a part or a slice of predecessors, never to
+    the whole frontier.  ``np.subtract.at`` takes an option for each repeat
+    of a state among the predecessors, in the counts' own dtype, which keeps
+    it on numpy's fast loop.  A state decided now is kept once, its first
+    repeat found by stamping ``dist`` with ``arena.order``, which only
+    touches undecided states.  The frontier's states are decided, so their
+    cells of ``dist`` are free: each takes its code as its part is walked,
+    2 * ``plies`` + 1 if lost and 2 * ``plies`` if won.
     """
     now_lost, now_won = _Frontier(), _Frontier()
     order = arena.order
     # A loss for the mover is a win for the mover of each predecessor.
     for part in lost:
+        dist[part] = 2 * plies + 1
         for pred in arena.predecessors(part, layout):
-            pred = pred[val[pred] == 0]
+            pred = pred[left[pred] != 0]
             if pred.size:
-                val[pred] = _WON
-                stamp[pred] = order[:pred.size]
-                now_won.add(pred[stamp[pred] == order[:pred.size]])
+                left[pred] = 0
+                dist[pred] = order[:pred.size]
+                now_won.add(pred[dist[pred] == order[:pred.size]])
     # A win for the mover takes one option from each predecessor; one left
     # with none is lost for its mover.
     one = left.dtype.type(1)
     for part in won:
+        dist[part] = 2 * plies
         for hit in arena.predecessors(part, layout):
-            hit = hit[val[hit] == 0]
+            hit = hit[left[hit] != 0]
             if hit.size:
                 np.subtract.at(left, hit, one)
                 hit = hit[left[hit] == 0]
                 if hit.size:
-                    val[hit] = _LOST
-                    stamp[hit] = order[:hit.size]
-                    now_lost.add(hit[stamp[hit] == order[:hit.size]])
+                    dist[hit] = order[:hit.size]
+                    now_lost.add(hit[dist[hit] == order[:hit.size]])
     return now_lost.close(), now_won.close()
 
 

@@ -120,6 +120,40 @@ def test_arenas_of_several_classes(period):
         assert_same_tables(instance)
 
 
+def test_stuck_terminal_states_are_decided_once_with_the_terminal_value(monkeypatch):
+    # The hole h and the node s are sinks.  Mouse to move on the hole is a
+    # Mouse win and capture on s with the Cat to move a Cat win, though the
+    # mover is stuck in both; the Mouse at x can only step onto the Cat at
+    # s, so seeding that capture as a stuck loss too would hand it a win.
+    graph = Graph(directed=True, nodes=("c", "m", "x", "s", "h"),
+                  edges=(("c", "s"), ("m", "x"), ("m", "h"), ("x", "s")))
+    instance = GameInstance(graph, "c", "m", "h")
+    seeds = []
+    ply = solver._ply
+
+    def noting_the_seeds(arena, layout, lost, won, plies, *rest):
+        if plies == 0:
+            seeds.append(np.concatenate(list(lost) + list(won)))
+        return ply(arena, layout, lost, won, plies, *rest)
+
+    monkeypatch.setattr(solver, "_ply", noting_the_seeds)
+    assert_same_tables(instance)
+    # No class seeds a state twice.
+    assert seeds
+    for states in seeds:
+        assert np.unique(states).size == states.size
+    sol = solve(instance)
+    for state, value, dist in [
+        (GameState("c", "h", MOUSE), Outcome.MOUSE_WIN, 0),
+        (GameState("s", "h", MOUSE), Outcome.MOUSE_WIN, 0),
+        (GameState("s", "s", CAT), Outcome.CAT_WIN, 0),
+        (GameState("s", "s", MOUSE), Outcome.CAT_WIN, 0),
+        (GameState("s", "x", MOUSE), Outcome.CAT_WIN, 1),
+        (GameState("s", "x", CAT), Outcome.MOUSE_WIN, 0),
+    ]:
+        assert (sol.value(state), sol.dist(state)) == (value, dist), state
+
+
 @pytest.mark.parametrize("moves", [127, 128])
 def test_a_hub_of_many_moves(moves, monkeypatch):
     # The Mouse at the hub loses only once every one of its moves, each to

@@ -356,6 +356,14 @@ class TestMemoryBudget:
         states, _kept, peak = traced_solve_of_the_undirected_6_16_ladder()
         assert peak < 4 * states + 4 * 2**20
 
+    def test_solve_peaks_under_3_bytes_a_state_over_the_working_memory(self):
+        # Option count and distance take 1 and 2 bytes while the class is
+        # solved, and no table holds the values; the frontier's full parts
+        # are int32.  With a value table and intp parts, the peak was 3.1
+        # MiB over 3 bytes a state.
+        states, _kept, peak = traced_solve_of_the_undirected_6_16_ladder()
+        assert peak < 3 * states + 2.5 * 2**20
+
 
 def traced_solve_of_the_undirected_6_16_ladder():
     """The states of the start's class, and the traced memory that solving
