@@ -246,8 +246,10 @@ def validate_layers(circuit: Circuit) -> dict[str, int]:
     for gate in reversed(circuit.gates):
         if gate.id in cone:
             cone.update((gate.left, gate.right))
-    inputs = (input_ref(i) for i in range(circuit.num_inputs))
-    layers = {ref: 0 for ref in inputs if ref in cone}
+    # The cone's inputs in index order, without a walk over every declared
+    # input: a circuit may declare billions and use two.
+    inputs = sorted((ref for ref in cone if is_input_ref(ref)), key=input_index)
+    layers = {ref: 0 for ref in inputs}
     for gate in circuit.gates:
         if gate.id not in cone:
             continue

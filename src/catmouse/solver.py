@@ -28,10 +28,12 @@ No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
 period (see ``_Classes``), so the states fall into classes closed under
 moves both ways, and only the start's class comes up in play.  Each class
 is solved on its own into tables sized to it, laid out as ``Solution``
-describes: ``solve`` decides the start's class alone, and the first query
-of a state in another class decides that class.  The reduction's directed
-boards have period 0 and a class per level difference; the start's class
-holds 9.0% of the states at 941 nodes, 7.5% at 2,881 and 5.0% at 13,865.
+describes, from the one ``_Classes`` the board has: ``solve`` decides the
+start's class alone, and the first query of a state in another class
+decides that class.  The reduction's directed boards have period 0 and a
+class per level difference, keyed modulo twice the number of levels; the
+start's class holds 9.0% of the states at 941 nodes, 7.5% at 2,881 and
+5.0% at 13,865.
 Undirected boards have period 2 and two classes of half the states each; a
 self-loop or an odd cycle makes the period 1, one class holding every
 state.
@@ -220,33 +222,31 @@ class Solution:
     whether the mover loses.
 
     No move changes a state's key, ``level(cat) - level(mouse) - t`` taken
-    modulo the board's period (exactly at period 0; see ``_Classes``).  So
-    the states fall into classes by key, closed under moves both ways, and
-    each class is solved into tables of its own size.  ``solve`` decides the
-    start's class, a query of a state in another class decides that class
-    first, and ``_complete`` decides them all.  ``stats`` lists the classes
-    decided.
+    modulo the board's ``modulus``: its period, or twice its number of
+    levels at period 0, where the differences are exact and no two share a
+    residue (see ``_Classes``).  So the states fall into classes by key,
+    closed under moves both ways, and each class is solved into tables of
+    its own size.  ``solve`` decides the start's class, a query of a state
+    in another class decides that class first, and ``_complete`` decides
+    them all, in key order.  ``stats`` lists the classes decided.
 
     The layout: the nodes are numbered by slot so that each residue group,
-    the nodes of one level modulo the period (of one exact level at period
-    0), takes consecutive slots.  In the class of key k, row (t, a) holds
-    only the movers of one group, that of ``level(a) + k`` with the Cat to
-    move and ``level(a) - k - 1`` with the Mouse, in slot order, and the 2n
-    rows follow one another by turn, then by a's slot.  So state (t, a, b)
-    sits at its row's start plus b's rank in its group, and its predecessors
-    (1 - t, b, x), for x into a, all lie in row (1 - t, b), because every x
-    into a has the same residue.  At period 1 there is one group and one
-    class, and this is the dense [t, a, b] layout.
+    the nodes of one level modulo the modulus, takes consecutive slots.  In
+    the class of key k, row (t, a) holds only the movers of one group, that
+    of ``level(a) + k`` with the Cat to move and ``level(a) - k - 1`` with
+    the Mouse, in slot order, and the 2n rows follow one another by turn,
+    then by a's slot; a row whose group holds no node is empty.  So state
+    (t, a, b) sits at its row's start plus b's rank in its group, and its
+    predecessors (1 - t, b, x), for x into a, all lie in row (1 - t, b),
+    because every x into a has the same residue.  At period 1 there is one
+    group and one class, and this is the dense [t, a, b] layout.
     """
 
     def __init__(self, instance):
         self.instance = instance
         self._index = instance.graph.index
-        # The arena is kept only while it may be needed: for the start's
-        # class, and from the second class decided on (see ``_decide``).
-        self._arena = _Arena(instance.graph)
-        classes = self._classes = self._arena.classes
-        self._level, self._period = classes.level, classes.period
+        classes = self._classes = _Classes(instance.graph)
+        self._level, self._modulus = classes.level, classes.modulus
         self._slot = classes.slot.tolist()
         self._tables: dict[int, _Tables] = {}
         self._stats: list[ClassStats] = []
@@ -272,8 +272,7 @@ class Solution:
             turn, other, mover = 0, mi, ci
         else:
             turn, other, mover, key = 1, ci, mi, key - 1
-        if self._period:
-            key %= self._period
+        key %= self._modulus
         try:
             tables = self._tables[key]
         except KeyError:
@@ -282,14 +281,11 @@ class Solution:
 
     def _decide(self, key: int) -> _Tables:
         """Solve the class ``key`` and keep its tables."""
-        arena = self._arena or _Arena(self.instance.graph, self._classes)
-        # Most solutions never decide a second class; those that do tend to
-        # decide many, as directed boards have dozens.
-        self._arena = arena if self._tables else None
-        layout = self._classes.layout(key)
-        code, plies = _attract(arena, layout, self._slot[self._index[self.instance.hole]])
-        slot = self._classes.slot
-        rows = layout.base[slot].tolist(), layout.base[slot + arena.n].tolist()
+        classes = self._classes
+        layout = classes.layout(key)
+        code, plies = _attract(classes, layout, self._slot[self._index[self.instance.hole]])
+        slot = classes.slot
+        rows = layout.base[slot].tolist(), layout.base[slot + classes.n].tolist()
         tables = _Tables(rows, memoryview(code).toreadonly())
         self._tables[key] = tables
         self._stats.append(ClassStats(key, layout.states, plies))
@@ -297,7 +293,7 @@ class Solution:
 
     def _complete(self) -> None:
         """Decide every class not yet decided."""
-        for key in self._classes.keys():
+        for key in range(self._modulus):
             if key not in self._tables:
                 self._decide(key)
 
@@ -411,29 +407,29 @@ def solve(instance: GameInstance) -> Solution:
     return solution
 
 
-def _attract(arena, layout, hole) -> tuple[np.ndarray, int]:
+def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
     """Decide the class laid out by ``layout``: the code of each state (see
     ``Solution``) and the plies that decided states.  ``hole`` is a slot.
 
     Two arrays of the class's size do all the work.  ``left`` counts each
     state's options, and a state is undecided exactly while it has some:
     deciding it sets its count to 0.  ``dist`` holds the undecided states'
-    ``arena.order`` stamps (see ``_ply``), and each decided state's code,
+    ``classes.order`` stamps (see ``_ply``), and each decided state's code,
     written as the next ply walks the frontier that holds it, which says
     whether it is lost or won.  A class whose tables would exceed
     ``_MAX_TABLE_BYTES`` is refused with TooLargeError, before they are
     allocated or as its distances widen."""
-    most = int(arena.out_deg.max())
+    most = int(classes.out_deg.max())
     if most >= 2**15:
         raise TooLargeError(f"a node has {most} moves; the solver allows {2**15 - 1}")
     count_type = np.dtype(np.int8 if most < 2**7 else np.int16)
-    dist_type = arena.order.dtype
-    _check_budget(arena, layout, count_type.itemsize + dist_type.itemsize)
-    n, group, base = arena.n, arena.classes.group, layout.base
+    dist_type = classes.order.dtype
+    _check_budget(classes, layout, count_type.itemsize + dist_type.itemsize)
+    n, group, base = classes.n, classes.group, layout.base
     # Each state starts with its mover's out-degree of options; a row holds
     # the movers of its group in slot order.
-    first, size = arena.classes.first.tolist(), arena.classes.size.tolist()
-    degrees = [arena.out_deg[f:f + k].astype(count_type) for f, k in zip(first, size)]
+    first, size = classes.first.tolist(), classes.size.tolist()
+    degrees = [classes.out_deg[f:f + k].astype(count_type) for f, k in zip(first, size)]
     left = np.concatenate([degrees[g] for g in layout.mover.tolist()])
     dist = np.empty(layout.states, dtype=dist_type)
 
@@ -455,7 +451,7 @@ def _attract(arena, layout, hole) -> tuple[np.ndarray, int]:
     # A player to move with no way out loses on the spot: the stuck movers'
     # cells that are not terminal, in the rows that hold their group.  Their
     # counts start at 0.
-    stuck = np.flatnonzero(arena.out_deg == 0)
+    stuck = np.flatnonzero(classes.out_deg == 0)
     for g in np.flatnonzero(np.bincount(group[stuck])):
         rows = np.flatnonzero(layout.mover == g)[:, None]
         movers = stuck[group[stuck] == g]
@@ -466,13 +462,13 @@ def _attract(arena, layout, hole) -> tuple[np.ndarray, int]:
 
     plies = 0
     while True:
-        frontier = _ply(arena, layout, *frontier, plies, left, dist)
+        frontier = _ply(classes, layout, *frontier, plies, left, dist)
         if not any(frontier):
             break
         plies += 1
         if plies == 2**14 and dist.dtype == np.int16:
             # The code 2 * plies + 1 would not fit int16.
-            _check_budget(arena, layout, left.itemsize + 4)
+            _check_budget(classes, layout, left.itemsize + 4)
             dist = dist.astype(np.int32)
     # The undecided states' stamps become the draws' -1, a slice at a time.
     for lo in range(0, layout.states, _SLICE):
@@ -480,13 +476,13 @@ def _attract(arena, layout, hole) -> tuple[np.ndarray, int]:
     return dist, plies
 
 
-def _check_budget(arena, layout, per_state: int) -> None:
+def _check_budget(classes, layout, per_state: int) -> None:
     """Refuse the class if its tables, ``per_state`` bytes a state, would
     exceed ``_MAX_TABLE_BYTES``."""
     need = layout.states * per_state
     if need > _MAX_TABLE_BYTES:
         raise TooLargeError(
-            f"{arena.n} nodes: the class to solve has {layout.states} states, "
+            f"{classes.n} nodes: the class to solve has {layout.states} states, "
             f"which need {need / 2**30:.1f} GiB of state tables; "
             f"the solver allows {_MAX_TABLE_BYTES / 2**30:.0f} GiB"
         )
@@ -530,19 +526,33 @@ class _Frontier(list):
 
 
 class _Classes:
-    """The classes of states that moves never leave, and the slots that lay
-    each class out (see ``Solution``).
+    """The board's distinct edges, the classes of states that moves never
+    leave, and the slots that lay each class out (see ``Solution``).
 
     Every move u -> v has ``level[v] = level[u] + 1`` modulo ``period``
     (exactly when it is 0), so a state's key stays the same along any move.
     The walk sets the levels along a spanning forest of the undirected graph
     underneath, and the period is the gcd of the amounts by which the other
-    edges miss.  ``level`` and ``slot`` are by graph index; ``group`` is each
-    slot's residue group, and ``first`` and ``size`` give each group's slots,
-    with an empty group at index -1.
+    edges miss.  Keys and groups are taken modulo ``modulus``: the period,
+    or at period 0 twice the number of levels, so that no two exact keys
+    share a residue and a row whose movers would lie off the board lands on
+    an empty group.  ``level`` and ``slot`` are by graph index; ``group`` is
+    each slot's residue group, and ``first`` and ``size`` give each group's
+    slots.
+
+    The edges are kept as reverse CSR over the 2n rows of a class layout,
+    nodes by slot: row r = t*n + a has the in-neighbours x of a,
+    ``src[row_end[r] - row_deg[r]:row_end[r]]``, as its states'
+    predecessors' movers.  Index arrays are intp, since numpy converts any
+    other index type on every gather.
     """
 
-    def __init__(self, n, src, dst):
+    def __init__(self, graph: Graph):
+        n = len(graph.nodes)
+        index = graph.index
+        codes = np.array(sorted({index[v] * n + ui for ui, u in enumerate(graph.nodes)
+                                 for v in graph.neighbors_out(u)}), dtype=np.intp)
+        dst, src = np.divmod(codes, n)
         # The undirected graph underneath as CSR: from either end of a move,
         # the other end and the step in level toward it.
         ends = np.concatenate((src, dst))
@@ -565,111 +575,16 @@ class _Classes:
         levels = np.array(level, dtype=np.intp)
         self.n, self.level = n, level
         self.period = int(np.gcd.reduce(levels[src] + 1 - levels[dst]))
-        group = levels % self.period if self.period else levels - levels.min()
+        self.modulus = self.period or 2 * int(levels.max() - levels.min() + 1)
+        group = levels % self.modulus
         by_slot = np.argsort(group, kind="stable")
         self.slot = np.empty(n, dtype=np.intp)
         self.slot[by_slot] = np.arange(n)
         self.group = group[by_slot]
-        self.size = np.append(np.bincount(group, minlength=self.period), 0)
+        self.size = np.bincount(group, minlength=self.modulus)
         self.first = np.cumsum(self.size) - self.size
-
-    def keys(self) -> range:
-        """The key of every class."""
-        return range(self.period) if self.period else range(1 - self.size.size, self.size.size - 1)
-
-    def layout(self, key: int) -> _Layout:
-        """The rows of the class ``key``."""
-        mover = np.concatenate((self.group + key, self.group - key - 1))
-        if self.period:
-            mover %= self.period
-        else:
-            mover[(mover < 0) | (mover >= self.size.size - 1)] = -1
-        length = self.size[mover]
-        end = np.cumsum(length)
-        base = end - length - self.first[mover]
-        back = base.copy()
-        back[:self.n] -= self.n
-        return _Layout(end, base, back, mover, int(end[-1]))
-
-
-class _Layout(NamedTuple):
-    """The rows r = t*n + a (a by slot) of one class: the index each row
-    ends at; ``base``, such that state (t, a, b) sits at ``base[r] + b`` (b
-    by slot); ``back``, such that the predecessors (1 - t, b, x) of state s
-    of row r lie in row s - ``back[r]`` = (1 - t)*n + b; each row's group of
-    movers, -1 for none; and the number of states."""
-
-    end: np.ndarray
-    base: np.ndarray
-    back: np.ndarray
-    mover: np.ndarray
-    states: int
-
-
-def _ply(arena, layout, lost, won, plies, left, dist) -> tuple[_Frontier, _Frontier]:
-    """Decide every state whose fate follows from the frontier.
-
-    The frontier comes as two ``_Frontier``s: ``lost``, whose states are
-    lost for their mover, and ``won``.  The lost parts are walked first,
-    each undecided predecessor of theirs won, then the won parts, each
-    undecided predecessor losing an option.  A state is undecided while
-    ``left``, its count of options, is not 0; deciding it sets the count to
-    0.  Returns the states decided now, lost and won, in the same form, so
-    a ply's buffers are sized to a part or a slice of predecessors, never to
-    the whole frontier.  ``np.subtract.at`` takes an option for each repeat
-    of a state among the predecessors, in the counts' own dtype, which keeps
-    it on numpy's fast loop.  A state decided now is kept once, its first
-    repeat found by stamping ``dist`` with ``arena.order``, which only
-    touches undecided states.  The frontier's states are decided, so their
-    cells of ``dist`` are free: each takes its code as its part is walked,
-    2 * ``plies`` + 1 if lost and 2 * ``plies`` if won.
-    """
-    now_lost, now_won = _Frontier(), _Frontier()
-    order = arena.order
-    # A loss for the mover is a win for the mover of each predecessor.
-    for part in lost:
-        dist[part] = 2 * plies + 1
-        for pred in arena.predecessors(part, layout):
-            pred = pred[left[pred] != 0]
-            if pred.size:
-                left[pred] = 0
-                dist[pred] = order[:pred.size]
-                now_won.add(pred[dist[pred] == order[:pred.size]])
-    # A win for the mover takes one option from each predecessor; one left
-    # with none is lost for its mover.
-    one = left.dtype.type(1)
-    for part in won:
-        dist[part] = 2 * plies
-        for hit in arena.predecessors(part, layout):
-            hit = hit[left[hit] != 0]
-            if hit.size:
-                np.subtract.at(left, hit, one)
-                hit = hit[left[hit] == 0]
-                if hit.size:
-                    dist[hit] = order[:hit.size]
-                    now_lost.add(hit[dist[hit] == order[:hit.size]])
-    return now_lost.close(), now_won.close()
-
-
-class _Arena:
-    """The board's distinct edges as reverse CSR over the 2n rows of a class
-    layout, nodes by slot (see ``Solution``).
-
-    Row r = t*n + a has the in-neighbours x of a, ``src[row_end[r] -
-    row_deg[r]:row_end[r]]``, as its states' predecessors' movers.  Index
-    arrays are intp, since numpy converts any other index type on every
-    gather.
-    """
-
-    def __init__(self, graph: Graph, classes: _Classes | None = None):
-        n = len(graph.nodes)
-        index = graph.index
-        codes = np.array(sorted({index[v] * n + ui for ui, u in enumerate(graph.nodes)
-                                 for v in graph.neighbors_out(u)}), dtype=np.intp)
-        self.n = n
-        dst, src = np.divmod(codes, n)
-        self.classes = classes = classes or _Classes(n, src, dst)
-        src, dst = classes.slot[src], classes.slot[dst]
+        # The reverse CSR, nodes by slot.
+        src, dst = self.slot[src], self.slot[dst]
         self.src = src[np.argsort(dst, kind="stable")]
         self.out_deg = np.bincount(src, minlength=n)
         in_deg = np.bincount(dst, minlength=n)
@@ -681,6 +596,16 @@ class _Arena:
         # int16 while it fits, as are the distances that hold these stamps.
         longest = min(max(_SLICE, n), 2 * n * len(codes))
         self.order = np.arange(longest + 1, dtype=np.int16 if longest < 2**15 else np.int32)
+
+    def layout(self, key: int) -> _Layout:
+        """The rows of the class ``key``."""
+        mover = np.concatenate((self.group + key, self.group - key - 1)) % self.modulus
+        length = self.size[mover]
+        end = np.cumsum(length)
+        base = end - length - self.first[mover]
+        back = base.copy()
+        back[:self.n] -= self.n
+        return _Layout(end, base, back, mover, int(end[-1]))
 
     def predecessors(self, states: np.ndarray, layout: _Layout):
         """Yield the predecessors of ``states``, repeats kept, in slices of
@@ -713,6 +638,65 @@ class _Arena:
             offset += self.order[:upto - done]
             yield up[lo:hi].repeat(count) + self.src[offset]
             lo, done = hi, upto
+
+
+class _Layout(NamedTuple):
+    """The rows r = t*n + a (a by slot) of one class: the index each row
+    ends at; ``base``, such that state (t, a, b) sits at ``base[r] + b`` (b
+    by slot); ``back``, such that the predecessors (1 - t, b, x) of state s
+    of row r lie in row s - ``back[r]`` = (1 - t)*n + b; each row's group of
+    movers, which may be empty; and the number of states."""
+
+    end: np.ndarray
+    base: np.ndarray
+    back: np.ndarray
+    mover: np.ndarray
+    states: int
+
+
+def _ply(classes, layout, lost, won, plies, left, dist) -> tuple[_Frontier, _Frontier]:
+    """Decide every state whose fate follows from the frontier.
+
+    The frontier comes as two ``_Frontier``s: ``lost``, whose states are
+    lost for their mover, and ``won``.  The lost parts are walked first,
+    each undecided predecessor of theirs won, then the won parts, each
+    undecided predecessor losing an option.  A state is undecided while
+    ``left``, its count of options, is not 0; deciding it sets the count to
+    0.  Returns the states decided now, lost and won, in the same form, so
+    a ply's buffers are sized to a part or a slice of predecessors, never to
+    the whole frontier.  ``np.subtract.at`` takes an option for each repeat
+    of a state among the predecessors, in the counts' own dtype, which keeps
+    it on numpy's fast loop.  A state decided now is kept once, its first
+    repeat found by stamping ``dist`` with ``classes.order``, which only
+    touches undecided states.  The frontier's states are decided, so their
+    cells of ``dist`` are free: each takes its code as its part is walked,
+    2 * ``plies`` + 1 if lost and 2 * ``plies`` if won.
+    """
+    now_lost, now_won = _Frontier(), _Frontier()
+    order = classes.order
+    # A loss for the mover is a win for the mover of each predecessor.
+    for part in lost:
+        dist[part] = 2 * plies + 1
+        for pred in classes.predecessors(part, layout):
+            pred = pred[left[pred] != 0]
+            if pred.size:
+                left[pred] = 0
+                dist[pred] = order[:pred.size]
+                now_won.add(pred[dist[pred] == order[:pred.size]])
+    # A win for the mover takes one option from each predecessor; one left
+    # with none is lost for its mover.
+    one = left.dtype.type(1)
+    for part in won:
+        dist[part] = 2 * plies
+        for hit in classes.predecessors(part, layout):
+            hit = hit[left[hit] != 0]
+            if hit.size:
+                np.subtract.at(left, hit, one)
+                hit = hit[left[hit] == 0]
+                if hit.size:
+                    dist[hit] = order[:hit.size]
+                    now_lost.add(hit[dist[hit] == order[:hit.size]])
+    return now_lost.close(), now_won.close()
 
 
 def outcome(instance: GameInstance) -> Outcome:

@@ -93,6 +93,16 @@ class TestDirectedShape:
         with pytest.raises(TooLargeError, match="51 nodes"):
             build(circuit, "011")
 
+    def test_ten_billion_declared_inputs_are_refused_at_once(self):
+        # The layers come from the output's cone, so neither they nor the
+        # refusal walk the inputs the circuit declares and never uses.
+        circuit = parse_circuit(f"inputs {10**10}\ngate g0 AND i1 i0\noutput g0\n")
+        layers = validate_layers(circuit)
+        assert layers == {"i0": 0, "i1": 0, "g0": 1}
+        assert list(layers) == ["i0", "i1", "g0"]
+        with pytest.raises(TooLargeError, match="over the limit"):
+            build_directed(circuit, "11")
+
     def test_special_nodes_and_start_layers(self, one_and_true):
         graph, cmap = one_and_true
         assert graph.m == "g0.M.1"

@@ -111,6 +111,22 @@ def layered_arena(seed, period):
     return Graph(directed=period != 2, nodes=nodes, edges=tuple(edges))
 
 
+def assert_one_class_numbering(instance):
+    """Every class is numbered modulo the board's modulus, each number names
+    a class of some states, and each class's plies are its longest
+    distance."""
+    solution = solve(instance)
+    solution._complete()
+    modulus = solution._classes.modulus
+    assert all(s.key in range(modulus) for s in solution.stats)
+    assert len(solution.stats) == modulus
+    assert all(s.states > 0 for s in solution.stats)
+    assert sum(s.states for s in solution.stats) == 2 * len(instance.graph.nodes) ** 2
+    for s in solution.stats:
+        dists = np.asarray(solution._tables[s.key].code) >> 1
+        assert s.plies == max(dists.max(), 0), s
+
+
 @pytest.mark.parametrize("period", [0, 2, 3])
 def test_arenas_of_several_classes(period):
     for seed in range(60):
@@ -118,6 +134,22 @@ def test_arenas_of_several_classes(period):
         instance = GameInstance(graph, *random_placement(graph, seed))
         assert solve(instance)._classes.period == period
         assert_same_tables(instance)
+        assert_one_class_numbering(instance)
+
+
+def test_a_graded_dag_of_two_components_and_an_edgeless_board():
+    # The walk sets r, q, p to levels -2, -1, 0 and x, y to 0, 1: four levels,
+    # so the modulus is 8.  With no edge there is one level, and modulus 2.
+    dag = Graph(directed=True, nodes=("p", "q", "r", "x", "y"),
+                edges=(("q", "p"), ("r", "q"), ("x", "y")))
+    edgeless = Graph(directed=True, nodes=("a", "b", "c"), edges=())
+    for graph, modulus in ((dag, 8), (edgeless, 2)):
+        for cat, mouse, hole in ((graph.nodes[0], graph.nodes[1], graph.nodes[2]),
+                                 (graph.nodes[-1], graph.nodes[0], graph.nodes[1])):
+            instance = GameInstance(graph, cat, mouse, hole)
+            assert solve(instance)._classes.modulus == modulus
+            assert_one_class_numbering(instance)
+            assert_same_tables(instance)
 
 
 def test_stuck_terminal_states_are_decided_once_with_the_terminal_value(monkeypatch):

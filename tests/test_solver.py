@@ -346,7 +346,8 @@ class TestMemoryBudget:
         assert peak - tables < 4 * 2**20
 
     def test_a_solution_keeps_2_bytes_a_state(self):
-        # One int16 code a state of the start's class; the arena is freed.
+        # One int16 code a state of the start's class, beside the board's
+        # edges and levels, which the solution keeps.
         states, kept, _peak = traced_solve_of_the_undirected_6_16_ladder()
         assert kept < 2.5 * states
 
