@@ -302,9 +302,15 @@ def _role_tokens(role: NodeRole) -> list[str]:
     return [role.kind]
 
 
+# The tokens of a role declaration, its kind included; any other kind takes 1.
+_ROLE_TOKEN_COUNT = {ROLE_GADGET: 4, ROLE_INPUT: 3, ROLE_ESCAPE: 4}
+
+
 def _role_from_tokens(tokens: list[str], lineno: int) -> NodeRole:
     kind = tokens[0]
     try:
+        if len(tokens) != _ROLE_TOKEN_COUNT.get(kind, 1):
+            raise ValueError
         if kind == ROLE_GADGET:
             gate, pos, side = tokens[1], int(tokens[2]), tokens[3]
             if pos not in range(1, 6) or side not in (CAT_SIDE, MOUSE_SIDE):
@@ -320,9 +326,9 @@ def _role_from_tokens(tokens: list[str], lineno: int) -> NodeRole:
             if branch not in (LEFT, RIGHT):
                 raise ValueError
             return NodeRole(ROLE_ESCAPE, gate=gate, branch=branch, chain=chain)
-        if kind in (ROLE_CAT_START, ROLE_HOLE, ROLE_DEAD_END) and len(tokens) == 1:
+        if kind in (ROLE_CAT_START, ROLE_HOLE, ROLE_DEAD_END):
             return NodeRole(kind)
-    except (IndexError, ValueError):
+    except ValueError:
         pass
     raise GraphSyntaxError(lineno, f"bad role declaration: {' '.join(tokens)}")
 

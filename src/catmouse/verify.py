@@ -1,12 +1,14 @@
 """Mechanical verification that game values track circuit values.
 
-``verify_equivalence`` is the core harness: build the game for a circuit and
-assignment, audit its structure, solve it exactly, and demand that the Mouse
-wins if and only if the circuit evaluates to true, with no draws, in
-whichever modes are requested.  It also plays the scripted strategies
-against each other and checks the match ends the way the plans promise: on
-a true circuit the Mouse reaches the hole in exactly two plies per level, on
-a false one the Cat captures.
+``verify_equivalence`` is the core harness.  In each requested mode it
+builds the board of a circuit and assignment, audits its structure, solves
+it exactly, and plays the scripted strategies against each other.  The
+promise both lines of play must keep: on a true circuit the Mouse reaches
+the hole in exactly 2·layer(m) plies; on a false one the Cat wins, the
+scripted Cat by capture.  The solver's start value and distance and the
+scripted match's result, reason and length are each compared once with it,
+and a breach is one violation, ``<mode>: <optimal|scripted> play ended
+<outcome>[ by <reason>][ in <n> plies], expected <the same>``.
 
 ``audit_board`` checks a built board against the census the circuit alone
 predicts (the node count, the edges of each tag and in all, the escape
@@ -124,28 +126,21 @@ def _verify_mode(circuit: Circuit, bits, mode: str, value: bool,
     """Check the ``mode`` board of a circuit whose value is ``value``,
     appending each problem to ``violations``; return the solver's outcome
     and the scripted match's result, None if the match aborted."""
-    expected = Outcome.MOUSE_WIN if value else Outcome.CAT_WIN
     graph, cmap = BUILDERS[mode](circuit, bits)
     violations.extend(
         f"structure[{mode}]: {p}"
         for p in audit_board(graph, cmap, circuit, bits)
     )
+    # The promised line of play: its outcome, how it ends and its plies.
+    want = ((Outcome.MOUSE_WIN, "hole", 2 * cmap.layer[graph.m]) if value
+            else (Outcome.CAT_WIN, "capture", None))
     inst = GameInstance.from_game_graph(graph)
     solution = solve(inst)
     outcome = solution.outcome()
-    if outcome is not expected:
-        violations.append(
-            f"{mode}: solver says {outcome.value}, "
-            f"circuit value is {value}"
-        )
-    level = cmap.layer[graph.m]
-    if value and outcome is expected:
-        plies = solution.dist(inst.initial_state())
-        if plies != 2 * level:
-            violations.append(
-                f"{mode}: optimal win takes {plies} plies, "
-                f"expected {2 * level}"
-            )
+    optimal = (outcome, None, solution.dist(inst.initial_state()) if value else None)
+    promised = (want[0], None, want[2])  # optimal play is not asked how it ends
+    if optimal != promised:
+        violations.append(_breach(mode, "optimal", optimal, promised))
     cat = make_mirror_cat(inst, cmap, circuit, bits)
     mouse = make_true_path_mouse(inst, cmap, circuit, bits)
     try:
@@ -153,26 +148,20 @@ def _verify_mode(circuit: Circuit, bits, mode: str, value: bool,
     except StrategyError as err:
         violations.append(f"{mode}: scripted match aborted: {err}")
         return outcome, None
-    if transcript.result is not expected:
-        violations.append(
-            f"{mode}: scripted match ended {transcript.result.value} "
-            f"({transcript.reason}), circuit value is {value}"
-        )
-    elif value:
-        if transcript.reason != "hole":
-            violations.append(
-                f"{mode}: scripted win by {transcript.reason}, not hole"
-            )
-        if len(transcript.moves) != 2 * level:
-            violations.append(
-                f"{mode}: scripted win took {len(transcript.moves)} "
-                f"plies, expected {2 * level}"
-            )
-    elif transcript.reason != "capture":
-        violations.append(
-            f"{mode}: scripted loss by {transcript.reason}, not capture"
-        )
+    scripted = (transcript.result, transcript.reason,
+                len(transcript.moves) if value else None)
+    if scripted != want:
+        violations.append(_breach(mode, "scripted", scripted, want))
     return outcome, transcript.result
+
+
+def _breach(mode: str, play: str, got: tuple, want: tuple) -> str:
+    """One violation line; a line of play is (outcome, reason, plies), and
+    a reason or plies of None is left out."""
+    def ended(result, reason, plies):
+        return (result.value + (f" by {reason}" if reason else "")
+                + ("" if plies is None else f" in {plies} plies"))
+    return f"{mode}: {play} play ended {ended(*got)}, expected {ended(*want)}"
 
 
 def check_structure(circuit: Circuit, bits, mode: str) -> list[str]:

@@ -217,6 +217,14 @@ class TestSolve:
         graph_file.write_text(capsys.readouterr().out)
         assert main(["solve", str(graph_file), "--state", "nonsense"]) == 2
 
+    def test_a_state_naming_an_unknown_node_is_an_input_error(self, and_file, tmp_path,
+                                                                capsys):
+        main(["reduce", and_file, "11"])
+        graph_file = tmp_path / "game.graph"
+        graph_file.write_text(capsys.readouterr().out)
+        assert main(["solve", str(graph_file), "--state", "zz,g0.M.1,Cat"]) == 2
+        assert assert_one_line_error(capsys) == "error: unknown node 'zz'\n"
+
     def test_empty_state_is_a_usage_error(self, and_file, tmp_path, capsys):
         main(["reduce", and_file, "00"])
         graph_file = tmp_path / "game.graph"

@@ -370,6 +370,48 @@ class TestExportImport:
         with pytest.raises(InconsistentGraphError, match="pairing is not a bijection"):
             import_graph("\n".join(lines))
 
+    @pytest.mark.parametrize("line", [
+        "node g0.M.1 gadget g0 1 M", "node i0.M input 0 M",
+        "node g0.esc.L.1 escape g0 L 1", "node h hole",
+    ])
+    def test_a_role_with_a_trailing_token_is_refused(self, line):
+        # Kept, the board would no longer export as the text it was read from.
+        text = export_graph(*build_undirected(parse_circuit(ONE_AND), "11"))
+        assert f"\n{line}\n" in text
+        edited = text.replace(f"\n{line}\n", f"\n{line} junk\n")
+        at = edited.splitlines().index(f"{line} junk") + 1
+        with pytest.raises(GraphSyntaxError, match="bad role declaration") as err:
+            import_graph(edited)
+        assert err.value.line == at
+
+    @pytest.mark.parametrize("old, new, error, message", [
+        ("edge g0.M.1 g0.M.2 gadget-internal", "edge g0.M.1 g0.M.4 gadget-internal",
+         InconsistentGraphError, "edge 'g0.M.1' -- 'g0.M.4' spans layers 4 -- 2"),
+        ("edge c g0.C.1 opening", "edge c g0.C.1 opening\nedge c g0.M.1 opening",
+         InconsistentGraphError, "the Cat stalk c must have exactly one edge"),
+        ("pair g0.M.3 g0.C.3\npair g0.M.4 g0.C.4", "pair g0.M.3 g0.C.4\npair g0.M.4 g0.C.3",
+         InconsistentGraphError, "paired nodes 'g0.M.3'/'g0.C.4' on different layers"),
+        ("special c=c m=g0.M.1 h=h d=d", "special c=c m=g0.M.1 h=h d",
+         GraphSyntaxError, "bad special 'd'"),
+        ("special c=c m=g0.M.1 h=h d=d", "special c=c m=g0.M.1 h=h x=d",
+         GraphSyntaxError, "bad special 'x=d'"),
+        ("special c=c m=g0.M.1 h=h d=d", "special c=c m=g0.M.1 h=h d=zz",
+         GraphSyntaxError, "bad special 'd=zz'"),
+        ("pair g0.M.5 g0.C.5", "pair g0.M.5 zz",
+         InconsistentGraphError, "pair references unknown node 'zz'"),
+        ("layer g0.M.1 4", "layer g0.M.1 4\nlayer zz 0",
+         InconsistentGraphError, "layer for unknown node 'zz'"),
+        ("special c=c m=g0.M.1 h=h d=d", "special c=c m=g0.M.1 h=h",
+         InconsistentGraphError, "missing special node 'd'"),
+        ("layer g0.M.1 4\n", "",
+         InconsistentGraphError, "missing layer for 'g0.M.1'"),
+    ])
+    def test_an_edited_board_is_refused(self, old, new, error, message):
+        text = export_graph(*build_undirected(parse_circuit(ONE_AND), "11"))
+        assert text.count(old) == 1
+        with pytest.raises(error, match=re.escape(message)):
+            import_graph(text.replace(old, new))
+
     def test_export_is_deterministic(self):
         circuit = parse_circuit(THREE_GATE)
         texts = {

@@ -498,6 +498,26 @@ class TestPlayMatch:
         circuit = parse_circuit("inputs 2\ngate g0 AND i0 i1\noutput g0\n")
         assert isinstance(build_directed(circuit, "11")[0], Graph)
 
+    def test_a_repeated_situation_is_a_draw(self):
+        # Both players step clockwise round the ring, so after eight plies
+        # the Cat is back on a, the Mouse on c, and the Cat is to move.
+        clockwise = {"a": "b", "b": "c", "c": "d", "d": "a"}
+        inst = GameInstance(RING, "a", "c", "x")
+        step = lambda state: clockwise[state.position]
+        transcript = play_match(inst, step, step)
+        assert (transcript.result, transcript.reason) == (Outcome.DRAW, "repetition")
+        assert len(transcript.moves) == 8
+        assert transcript.moves[-1] == (8, MOUSE, "b", "c")
+
+    def test_a_query_naming_an_unknown_node_is_an_invalid_instance(self):
+        inst = GameInstance(line_graph(True, ("a", "b"), ("b", "h")), "a", "b", "h")
+        sol = solve(inst)
+        for query in (sol.value, sol.dist):
+            with pytest.raises(InvalidInstanceError, match="unknown node 'zz'"):
+                query(GameState("zz", "b", CAT))
+            with pytest.raises(InvalidInstanceError, match="unknown node 'zz'"):
+                query(GameState("a", "zz", MOUSE))
+
     def test_unknown_turn_is_an_invalid_instance(self):
         inst = GameInstance(line_graph(True, ("a", "b"), ("b", "h")), "a", "b", "h")
         sol = solve(inst)

@@ -340,6 +340,114 @@ class TestFuzz:
         assert text.endswith("output g0\n")
 
 
+def skew_solver(monkeypatch, flip=False, longer=0):
+    """Rebind ``verify.solve`` to a solver that reports the start's winner
+    swapped if ``flip``, and every distance ``longer`` plies more."""
+    swapped = {Outcome.CAT_WIN: Outcome.MOUSE_WIN, Outcome.MOUSE_WIN: Outcome.CAT_WIN}
+
+    class Skewed:
+        def __init__(self, instance):
+            self.solution = solver.solve(instance)
+
+        def outcome(self):
+            won = self.solution.outcome()
+            return swapped[won] if flip else won
+
+        def dist(self, state):
+            return self.solution.dist(state) + longer
+
+    monkeypatch.setattr(verify, "solve", Skewed)
+
+
+def verify_directed(tmp_path, capsys, bits):
+    """Run ``catmouse verify`` on the one-AND circuit in directed mode;
+    return its exit code and the lines it printed."""
+    path = tmp_path / "and.circuit"
+    path.write_text(ONE_AND)
+    code = main(["verify", str(path), bits, "--mode", "directed"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+class TestBreaches:
+    """Each way optimal or scripted play can break the promise is reported,
+    and ``catmouse verify`` exits 1 on it."""
+
+    @pytest.mark.parametrize("bits, breach", [
+        ("11", "optimal play ended CatWin in 8 plies, expected MouseWin in 8 plies"),
+        ("01", "optimal play ended MouseWin, expected CatWin"),
+    ])
+    def test_a_wrong_optimal_winner(self, monkeypatch, tmp_path, capsys, bits, breach):
+        skew_solver(monkeypatch, flip=True)
+        code, out = verify_directed(tmp_path, capsys, bits)
+        assert (code, out[-2:]) == (1, [f"violation directed: {breach}", "mismatch"])
+
+    def test_a_wrong_optimal_win_length(self, monkeypatch, tmp_path, capsys):
+        skew_solver(monkeypatch, longer=2)
+        code, out = verify_directed(tmp_path, capsys, "11")
+        assert (code, out[-2:]) == (1, [
+            "violation directed: optimal play ended MouseWin in 10 plies, "
+            "expected MouseWin in 8 plies",
+            "mismatch",
+        ])
+        # Only a win's length is promised.
+        assert verify_directed(tmp_path, capsys, "01") == (0, [
+            "bits 01", "value 0", "directed CatWin scripted CatWin", "ok"])
+
+    def test_an_aborted_scripted_match(self, monkeypatch, tmp_path, capsys):
+        # On a sealed assignment the mirror Cat must step from its gadget's
+        # entry to the node that seals the true child; without that edge it
+        # has no prescribed move, and the Mouse wins.
+        seal = (reduction.gadget_node("g0", reduction.CAT_SIDE, 1),
+                reduction.gadget_node("g0", reduction.CAT_SIDE, 2))
+
+        def broken(circuit, bits):
+            graph, cmap = reduction.build_directed(circuit, bits)
+            edges = tuple(e for e in graph.edges if e[:2] != seal)
+            return dataclasses.replace(graph, edges=edges), cmap
+
+        monkeypatch.setitem(reduction.BUILDERS, "directed", broken)
+        assert "01" in SEALED[0][1]
+        assert verify_directed(tmp_path, capsys, "01") == (1, [
+            "bits 01",
+            "value 0",
+            "directed MouseWin scripted aborted",
+            "violation structure[directed]: gadget-internal edges 11, expected 12",
+            "violation structure[directed]: edge count 29, expected 30",
+            "violation directed: optimal play ended MouseWin, expected CatWin",
+            "violation directed: scripted match aborted: "
+            "cat at g0.C.1 cannot reach threat node g0.C.2",
+            "mismatch",
+        ])
+
+    def test_a_wrong_scripted_line(self, monkeypatch, tmp_path, capsys):
+        def first_neighbour_mouse(instance, cmap, circuit, bits):
+            graph = instance.graph
+            return lambda state: min(graph.neighbors_out(state.mouse))
+
+        monkeypatch.setattr(verify, "make_true_path_mouse", first_neighbour_mouse)
+        assert verify_directed(tmp_path, capsys, "11") == (1, [
+            "bits 11",
+            "value 1",
+            "directed MouseWin scripted CatWin",
+            "violation directed: scripted play ended CatWin by capture in 5 plies, "
+            "expected MouseWin by hole in 8 plies",
+            "mismatch",
+        ])
+
+    def test_fuzz_prints_the_reproducer(self, monkeypatch, capsys):
+        skew_solver(monkeypatch, flip=True)
+        assert main(["fuzz", "--n", "1"]) == 1
+        out = capsys.readouterr().out
+        failure = fuzz_equivalence(1, seed=0).failures[0]
+        assert out == "0/1 ok\n" + failure.reproducer()
+        assert out.startswith(f"0/1 ok\n# trial 0, bits {failure.bits}\n"
+                              "# directed: optimal play ended ")
+
+    def test_bits_given_as_booleans(self):
+        report = verify_equivalence(parse_circuit(ONE_AND), [True, False])
+        assert (report.bits, report.circuit_value, report.ok) == ("10", False, True)
+
+
 def test_verify_decides_only_the_start_class(monkeypatch):
     # verify reads only states that play from the start can reach, so none of
     # its solutions decides the other classes.
