@@ -12,17 +12,18 @@ and each ply then looks only at the predecessors of the states the previous
 ply decided.  A predecessor is won for its mover as soon as one successor is
 won for them; each successor won for the opponent lowers a per-state counter
 of remaining options, and a predecessor whose counter reaches 0 is lost.  All
-work is O(states + state edges), held in flat numpy arrays: the state tables,
-a count of options left and a distance, 3 to 6 bytes a state (see
-``_BYTES_PER_STATE``), and working memory bounded by ``_SLICE`` and the
-frontier, which is kept in parts of at most ``_SLICE`` states.  A state is
-undecided while it has options left; deciding it sets its count to 0, and
-its value, relative to the player to move, is that of the frontier that
-decided it: won or lost.  States never decided are draws, matching the
-classical equivalence with the repetition-draw rule.  The recorded distance
-is plies-to-termination under optimal play: winners minimize it, losers
-maximize it.  Each decided state's value and distance are written as one
-code, 2 or 4 bytes, which the ``Solution`` keeps and answers queries from.
+work is O(states + state edges), held in flat numpy arrays: one table of the
+class's states, 2 bytes a state on a board of fewer than 32,768 nodes and 4
+on a larger one (see ``_BYTES_PER_STATE``), and working memory bounded by
+``_SLICE`` and the frontier, which is kept in parts of at most ``_SLICE``
+states.  An undecided state's cell counts its options left; deciding it
+writes a stamp there, and its value, relative to the player to move, is
+that of the frontier that decided it: won or lost.  States never decided
+are draws, matching the classical equivalence with the repetition-draw
+rule.  The recorded distance is plies-to-termination under optimal play:
+winners minimize it, losers maximize it.  Each decided state's value and
+distance end up in its cell as one code, which the ``Solution`` keeps and
+answers queries from.
 
 No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
 period (see ``_Classes``), so the states fall into classes closed under
@@ -366,30 +367,24 @@ class Solution:
         return self._move
 
 
-# Bytes per (cat, mouse, turn) state of the class being solved: count of
-# options left (int8) and distance (int16), on a board of fewer than 32,768
-# nodes and fewer than 128 moves from any node.  No table holds the values:
-# a state is undecided while it has options left, and the frontier that
-# decides it says whether it is lost or won (see ``_attract``).  A node of
-# more moves takes int16 counts, a larger board int32 distances, and a
-# class whose plies reach 2^14 widens its distances to int32 then.  The
-# distances are written as one code a state (see ``Solution``), which is
-# all a decided class keeps: 2 bytes, or 4 where int32.  A solve's peak is
-# the tables plus working memory bounded by ``_SLICE`` and the frontier:
-# the traced peak of directed (12, 64), 13,865 nodes, is 67.3 MiB over 55.1
-# MiB of tables, and that of undirected (8, 32), 2,881 nodes, whose hole
-# has 318 moves, 37.2 MiB over 31.7 MiB at 4 bytes a state.
-_BYTES_PER_STATE = 1 + 2
-# A class whose state tables would exceed this is refused with TooLargeError
+# Bytes per (cat, mouse, turn) state of the class being solved, on a board
+# of fewer than 32,768 nodes: one int16 cell a state holds its count of
+# options left, then its stamp, then its code (see ``_attract``), which is
+# all a decided class keeps.  A larger board takes int32 cells, and a class
+# whose plies reach 2^14 widens its cells to int32 then, as the code
+# 2 * plies + 1 would not fit int16.  A solve's peak is the table plus
+# working memory bounded by ``_SLICE`` and the frontier: the traced peak
+# of directed (12, 64), 13,865 nodes, is 49.1 MiB over 36.7 MiB of table,
+# and that of undirected (8, 32), 2,881 nodes, 21.5 MiB over 15.8 MiB.
+_BYTES_PER_STATE = 2
+# A class whose table would exceed this is refused with TooLargeError
 # instead of running the host out of memory; the working memory comes on
-# top.  It admits undirected ladder boards of about 23,000 nodes, whose
-# start's class is half of the 2n^2 states and whose hole has hundreds of
-# moves, so 4 bytes a state; and directed ladder boards of about 70,000,
-# whose start's class is under 4% of them, at 5 bytes a state past 32,768
-# nodes.  It keeps a class under 2^31 states, and so its distances within
-# int32 and its state indices within the frontier's int32 parts; the
-# option counts fit int16 because solving refuses a node with 2^15 moves or
-# more.
+# top.  It admits every undirected ladder board of fewer than 32,768 nodes,
+# whose start's class is half of the 2n^2 states, at 2 bytes a state; and
+# directed ladder boards of about 80,000, whose start's class is under 4%
+# of them, at 4 bytes a state past 32,768 nodes.  It keeps a class under
+# 2^31 states, and so its codes within int32 and its state indices within
+# the frontier's int32 parts.
 _MAX_TABLE_BYTES = 2 * 2**30
 # States in one part of the frontier, and predecessors gathered at once;
 # bounds the buffers of a ply.
@@ -411,27 +406,25 @@ def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
     """Decide the class laid out by ``layout``: the code of each state (see
     ``Solution``) and the plies that decided states.  ``hole`` is a slot.
 
-    Two arrays of the class's size do all the work.  ``left`` counts each
-    state's options, and a state is undecided exactly while it has some:
-    deciding it sets its count to 0.  ``dist`` holds the undecided states'
-    ``classes.order`` stamps (see ``_ply``), and each decided state's code,
-    written as the next ply walks the frontier that holds it, which says
-    whether it is lost or won.  A class whose tables would exceed
-    ``_MAX_TABLE_BYTES`` is refused with TooLargeError, before they are
-    allocated or as its distances widen."""
-    most = int(classes.out_deg.max())
-    if most >= 2**15:
-        raise TooLargeError(f"a node has {most} moves; the solver allows {2**15 - 1}")
-    count_type = np.dtype(np.int8 if most < 2**7 else np.int16)
-    dist_type = classes.order.dtype
-    _check_budget(classes, layout, count_type.itemsize + dist_type.itemsize)
+    One array of the class's size, ``code``, does all the work.  An
+    undecided state holds -1 minus its options left, so at most -2 while it
+    has any.  Deciding a state writes its ``layout.order`` stamp, 0 or more,
+    into its cell (see ``_ply``), and the next ply, walking the frontier
+    that holds it, its code, which says whether it is lost or won.
+    Terminal states start decided, at 0; a stuck mover's state starts at -1
+    and in the lost frontier.  A class whose table would exceed
+    ``_MAX_TABLE_BYTES`` is refused with TooLargeError, before it is
+    allocated or as it widens."""
     n, group, base = classes.n, classes.group, layout.base
-    # Each state starts with its mover's out-degree of options; a row holds
-    # the movers of its group in slot order.
+    # -1 - out-degree is -n - 1 or more, and the stamps are below n or
+    # _SLICE (see ``_Layout``), so int16 holds both below 2^15 nodes.
+    table = np.dtype(np.int16 if n < 2**15 else np.int32)
+    _check_budget(classes, layout, table.itemsize)
+    # A row holds the movers of its group in slot order.
+    options = (-1 - classes.out_deg).astype(table)
     first, size = classes.first.tolist(), classes.size.tolist()
-    degrees = [classes.out_deg[f:f + k].astype(count_type) for f, k in zip(first, size)]
-    left = np.concatenate([degrees[g] for g in layout.mover.tolist()])
-    dist = np.empty(layout.states, dtype=dist_type)
+    by_group = [options[f:f + k] for f, k in zip(first, size)]
+    code = np.concatenate([by_group[g] for g in layout.mover.tolist()])
 
     # Capture on the diagonal and the Mouse home at the hole, in every
     # class: rows t*n + a, movers b, and whether the mover has lost.
@@ -443,14 +436,13 @@ def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
     has_lost = np.repeat([False, True, True, False], (n, n, away.size, away.size))
     here = layout.mover[rows] == group[movers]
     terminal = base[rows[here]] + movers[here]
-    left[terminal] = 0
+    code[terminal] = 0
     is_lost = has_lost[here]
     lost, won = _Frontier(), _Frontier()
     lost.add(terminal[is_lost])
     won.add(terminal[~is_lost])
     # A player to move with no way out loses on the spot: the stuck movers'
-    # cells that are not terminal, in the rows that hold their group.  Their
-    # counts start at 0.
+    # cells that are not terminal, in the rows that hold their group.
     stuck = np.flatnonzero(classes.out_deg == 0)
     for g in np.flatnonzero(np.bincount(group[stuck])):
         rows = np.flatnonzero(layout.mover == g)[:, None]
@@ -462,18 +454,17 @@ def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
 
     plies = 0
     while True:
-        frontier = _ply(classes, layout, *frontier, plies, left, dist)
+        frontier = _ply(classes, layout, *frontier, plies, code)
         if not any(frontier):
             break
         plies += 1
-        if plies == 2**14 and dist.dtype == np.int16:
+        if plies == 2**14 and code.dtype == np.int16:
             # The code 2 * plies + 1 would not fit int16.
-            _check_budget(classes, layout, left.itemsize + 4)
-            dist = dist.astype(np.int32)
-    # The undecided states' stamps become the draws' -1, a slice at a time.
-    for lo in range(0, layout.states, _SLICE):
-        dist[lo:lo + _SLICE][left[lo:lo + _SLICE] != 0] = -1
-    return dist, plies
+            _check_budget(classes, layout, 4)
+            code = code.astype(np.int32)
+    # The undecided states, still below -1, become the draws' -1.
+    np.maximum(code, -1, out=code)
+    return code, plies
 
 
 def _check_budget(classes, layout, per_state: int) -> None:
@@ -540,11 +531,10 @@ class _Classes:
     each slot's residue group, and ``first`` and ``size`` give each group's
     slots.
 
-    The edges are kept as reverse CSR over the 2n rows of a class layout,
-    nodes by slot: row r = t*n + a has the in-neighbours x of a,
-    ``src[row_end[r] - row_deg[r]:row_end[r]]``, as its states'
-    predecessors' movers.  Index arrays are intp, since numpy converts any
-    other index type on every gather.
+    The edges are kept as reverse CSR, nodes by slot: the in-neighbours of
+    node a are the ``in_deg[a]`` entries of ``src`` that end where those of
+    the nodes before a begin.  Index arrays are intp, since numpy converts
+    any other index type on every gather.
     """
 
     def __init__(self, graph: Graph):
@@ -587,15 +577,7 @@ class _Classes:
         src, dst = self.slot[src], self.slot[dst]
         self.src = src[np.argsort(dst, kind="stable")]
         self.out_deg = np.bincount(src, minlength=n)
-        in_deg = np.bincount(dst, minlength=n)
-        self.row_deg = np.concatenate((in_deg, in_deg))
-        ends = np.cumsum(in_deg)
-        self.row_end = np.concatenate((ends, ends))
-        # 0, 1, 2, ...: as long as the largest slice of predecessors, which
-        # holds at most _SLICE of them or those of one state (fewer than n).
-        # int16 while it fits, as are the distances that hold these stamps.
-        longest = min(max(_SLICE, n), 2 * n * len(codes))
-        self.order = np.arange(longest + 1, dtype=np.int16 if longest < 2**15 else np.int32)
+        self.in_deg = np.bincount(dst, minlength=n)
 
     def layout(self, key: int) -> _Layout:
         """The rows of the class ``key``."""
@@ -605,7 +587,14 @@ class _Classes:
         base = end - length - self.first[mover]
         back = base.copy()
         back[:self.n] -= self.n
-        return _Layout(end, base, back, mover, int(end[-1]))
+        deg = np.concatenate((self.in_deg, self.in_deg))
+        ends = np.cumsum(self.in_deg)
+        # The largest slice of predecessors: at most _SLICE of them or those
+        # of one state, and at most those of every state in the class.
+        longest = min(max(_SLICE, int(self.in_deg.max())), int(deg @ length))
+        order = np.arange(longest, dtype=np.int16 if longest < 2**15 else np.int32)
+        return _Layout(end, base, back, mover, int(end[-1]), deg,
+                       np.concatenate((ends, ends)), order)
 
     def predecessors(self, states: np.ndarray, layout: _Layout):
         """Yield the predecessors of ``states``, repeats kept, in slices of
@@ -621,7 +610,7 @@ class _Classes:
         # row is the number of row ends at or below it.
         rows = layout.end.searchsorted(states, "right")
         up = layout.base[states - layout.back[rows]]
-        counts = self.row_deg[rows]
+        counts = layout.row_deg[rows]
         ends = counts.cumsum()
         total = int(ends[-1])
         lo = done = 0
@@ -631,11 +620,11 @@ class _Classes:
                 hi = max(int(ends.searchsorted(done + _SLICE, "right")), lo + 1)
             upto = int(ends[hi - 1])
             count = counts[lo:hi]
-            offset = self.row_end[rows[lo:hi]] - ends[lo:hi]
+            offset = layout.row_end[rows[lo:hi]] - ends[lo:hi]
             if done:
                 offset += done
             offset = offset.repeat(count)
-            offset += self.order[:upto - done]
+            offset += layout.order[:upto - done]
             yield up[lo:hi].repeat(count) + self.src[offset]
             lo, done = hi, upto
 
@@ -645,57 +634,66 @@ class _Layout(NamedTuple):
     ends at; ``base``, such that state (t, a, b) sits at ``base[r] + b`` (b
     by slot); ``back``, such that the predecessors (1 - t, b, x) of state s
     of row r lie in row s - ``back[r]`` = (1 - t)*n + b; each row's group of
-    movers, which may be empty; and the number of states."""
+    movers, which may be empty; and the number of states.  Row r's states'
+    predecessors' movers, the in-neighbours x of a, are
+    ``src[row_end[r] - row_deg[r]:row_end[r]]`` in the board's reverse CSR.
+    ``order`` is 0, 1, 2, ..., as long as the largest slice of predecessors
+    the class can yield, the stamps ``_ply`` writes; it is built with the
+    layout, so a kept board holds none."""
 
     end: np.ndarray
     base: np.ndarray
     back: np.ndarray
     mover: np.ndarray
     states: int
+    row_deg: np.ndarray
+    row_end: np.ndarray
+    order: np.ndarray
 
 
-def _ply(classes, layout, lost, won, plies, left, dist) -> tuple[_Frontier, _Frontier]:
+def _ply(classes, layout, lost, won, plies, code) -> tuple[_Frontier, _Frontier]:
     """Decide every state whose fate follows from the frontier.
 
     The frontier comes as two ``_Frontier``s: ``lost``, whose states are
     lost for their mover, and ``won``.  The lost parts are walked first,
     each undecided predecessor of theirs won, then the won parts, each
-    undecided predecessor losing an option.  A state is undecided while
-    ``left``, its count of options, is not 0; deciding it sets the count to
-    0.  Returns the states decided now, lost and won, in the same form, so
-    a ply's buffers are sized to a part or a slice of predecessors, never to
-    the whole frontier.  ``np.subtract.at`` takes an option for each repeat
-    of a state among the predecessors, in the counts' own dtype, which keeps
-    it on numpy's fast loop.  A state decided now is kept once, its first
-    repeat found by stamping ``dist`` with ``classes.order``, which only
-    touches undecided states.  The frontier's states are decided, so their
-    cells of ``dist`` are free: each takes its code as its part is walked,
-    2 * ``plies`` + 1 if lost and 2 * ``plies`` if won.
+    undecided predecessor losing an option.  A state is undecided while its
+    cell in ``code``, -1 minus its options left, is below -1.  Returns the
+    states decided now, lost and won, in the same form, so a ply's buffers
+    are sized to a part or a slice of predecessors, never to the whole
+    frontier.  ``np.add.at`` takes an option for each repeat of a state
+    among the predecessors, in the table's own dtype, which keeps it on
+    numpy's fast loop.  No cell passes -1, that of a state with no option
+    left: each successor is walked once and takes at most one option from
+    each predecessor, and decided cells are filtered out before the add.  A
+    state decided now is kept once, one repeat of it found by stamping its
+    cell with ``layout.order``, which also marks it decided.  The frontier's
+    states are decided, so their cells are free: each takes its code as its
+    part is walked, 2 * ``plies`` + 1 if lost and 2 * ``plies`` if won.
     """
     now_lost, now_won = _Frontier(), _Frontier()
-    order = classes.order
+    order = layout.order
     # A loss for the mover is a win for the mover of each predecessor.
     for part in lost:
-        dist[part] = 2 * plies + 1
+        code[part] = 2 * plies + 1
         for pred in classes.predecessors(part, layout):
-            pred = pred[left[pred] != 0]
+            pred = pred[code[pred] < -1]
             if pred.size:
-                left[pred] = 0
-                dist[pred] = order[:pred.size]
-                now_won.add(pred[dist[pred] == order[:pred.size]])
+                code[pred] = order[:pred.size]
+                now_won.add(pred[code[pred] == order[:pred.size]])
     # A win for the mover takes one option from each predecessor; one left
-    # with none is lost for its mover.
-    one = left.dtype.type(1)
+    # with none, at -1, is lost for its mover.
+    one = code.dtype.type(1)
     for part in won:
-        dist[part] = 2 * plies
+        code[part] = 2 * plies
         for hit in classes.predecessors(part, layout):
-            hit = hit[left[hit] != 0]
+            hit = hit[code[hit] < -1]
             if hit.size:
-                np.subtract.at(left, hit, one)
-                hit = hit[left[hit] == 0]
+                np.add.at(code, hit, one)
+                hit = hit[code[hit] == -1]
                 if hit.size:
-                    dist[hit] = order[:hit.size]
-                    now_lost.add(hit[dist[hit] == order[:hit.size]])
+                    code[hit] = order[:hit.size]
+                    now_lost.add(hit[code[hit] == order[:hit.size]])
     return now_lost.close(), now_won.close()
 
 

@@ -197,15 +197,18 @@ def test_a_hub_of_many_moves(moves, monkeypatch):
     instance = GameInstance(graph, "c", "hub", "h")
     assert_same_tables(instance)
     assert solve(instance).value(GameState("c", "hub", MOUSE)) is Outcome.CAT_WIN
-    # The option counts are int8 up to 127 moves a node and int16 from 128,
-    # a byte a state more than the budget below allows.
-    monkeypatch.setattr(solver, "_MAX_TABLE_BYTES",
-                        2 * len(graph.nodes) ** 2 * solver._BYTES_PER_STATE)
-    if moves < 128:
-        assert solve(instance).outcome() is Outcome.CAT_WIN
-    else:
-        with pytest.raises(TooLargeError, match="the class to solve has"):
-            solve(instance)
+    # The option counts share the codes' int16 cells at any number of moves
+    # below 2^15: the one class solves under a budget of exactly 2 bytes a
+    # state and is refused one byte under it.
+    states = 2 * len(graph.nodes) ** 2
+    assert solver._BYTES_PER_STATE == 2
+    monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", states * 2)
+    solution = solve(instance)
+    assert solution.outcome() is Outcome.CAT_WIN
+    assert solution._tables[solution.stats[0].key].code.nbytes == 2 * states
+    monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", states * 2 - 1)
+    with pytest.raises(TooLargeError, match="the class to solve has"):
+        solve(instance)
 
 
 def test_a_start_class_under_the_budget_solves_on_a_board_over_it(monkeypatch):

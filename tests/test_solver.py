@@ -365,6 +365,12 @@ class TestMemoryBudget:
         states, _kept, peak = traced_solve_of_the_undirected_6_16_ladder()
         assert peak < 3 * states + 2.5 * 2**20
 
+    def test_solve_peaks_under_2_bytes_a_state_over_the_working_memory(self):
+        # One int16 cell a state holds the option count, then the stamp,
+        # then the code.  The peak was 3.6 MiB, 1.7 MiB of it the table.
+        states, _kept, peak = traced_solve_of_the_undirected_6_16_ladder()
+        assert peak < 2 * states + 2.5 * 2**20
+
 
 def traced_solve_of_the_undirected_6_16_ladder():
     """The states of the start's class, and the traced memory that solving
@@ -417,7 +423,9 @@ class TestTableWidths:
 
 class TestPlayMatch:
     def test_optimal_play_lasts_exactly_dist_plies(self):
-        for seed in range(40):
+        # About one start in forty is drawn: seeds 49, 84, 132, 180 and 190.
+        draws = 0
+        for seed in range(200):
             graph = random_arena(seed + 300)
             cat, mouse, hole = random_placement(graph, seed + 7000)
             inst = GameInstance(graph, cat, mouse, hole)
@@ -426,9 +434,11 @@ class TestPlayMatch:
             transcript = play_match(inst, policy, policy)
             assert transcript.result is sol.outcome()
             if sol.outcome() is Outcome.DRAW:
+                draws += 1
                 assert transcript.reason == "repetition"
             else:
                 assert len(transcript.moves) == sol.dist(inst.initial_state())
+        assert draws >= 1
 
     def test_transcript_text_format(self):
         g = line_graph(True, ("a", "b"), ("b", "h"))
@@ -620,15 +630,18 @@ class TestClassBudget:
             sol.value(GameState("w0", "w1", CAT))
         assert sol.stats == (start,)
 
-    def test_a_node_with_2_15_moves_is_refused(self):
-        # The hub's 2^15 moves would overflow the int16 option counts.  The
-        # start's class is small: the Mouse, one move from the hole, is one
-        # level behind the Cat, and no Mouse node shares a level with a leaf.
+    def test_a_node_with_2_15_moves_solves(self):
+        # -1 - 2^15, the hub's count, fits the int32 cells of a board of
+        # 2^15 + 4 nodes.  The start's class is small: the Mouse, one move
+        # from the hole, is one level behind the Cat, and no Mouse node
+        # shares a level with a leaf.
         leaves = tuple(f"v{k}" for k in range(2**15))
         graph = Graph(directed=True, nodes=("hub", "h", "q", "p") + leaves,
                       edges=tuple(("hub", v) for v in leaves) + (("p", "q"), ("q", "h")))
-        with pytest.raises(TooLargeError, match="a node has 32768 moves"):
-            solve(GameInstance(graph, "hub", "q", "h"))
+        sol = solve(GameInstance(graph, "hub", "q", "h"))
+        assert sol.outcome() is Outcome.MOUSE_WIN
+        start = sol.stats[0]
+        assert sol._tables[start.key].code.nbytes == 4 * start.states
 
 
 class TestOnReductionGraphs:
