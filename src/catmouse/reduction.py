@@ -306,23 +306,33 @@ def _role_tokens(role: NodeRole) -> list[str]:
 _ROLE_TOKEN_COUNT = {ROLE_GADGET: 4, ROLE_INPUT: 3, ROLE_ESCAPE: 4}
 
 
+def _integer(token: str) -> int:
+    """``token`` as an int, if export would write that int as ``token``;
+    else ValueError.  ``int`` alone also reads ``+1``, ``01``, ``0_4`` and
+    non-ASCII digits, which would not export as they were read."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(token)
+    return value
+
+
 def _role_from_tokens(tokens: list[str], lineno: int) -> NodeRole:
     kind = tokens[0]
     try:
         if len(tokens) != _ROLE_TOKEN_COUNT.get(kind, 1):
             raise ValueError
         if kind == ROLE_GADGET:
-            gate, pos, side = tokens[1], int(tokens[2]), tokens[3]
+            gate, pos, side = tokens[1], _integer(tokens[2]), tokens[3]
             if pos not in range(1, 6) or side not in (CAT_SIDE, MOUSE_SIDE):
                 raise ValueError
             return NodeRole(ROLE_GADGET, gate=gate, position=pos, side=side)
         if kind == ROLE_INPUT:
-            index, side = int(tokens[1]), tokens[2]
+            index, side = _integer(tokens[1]), tokens[2]
             if side not in (CAT_SIDE, MOUSE_SIDE):
                 raise ValueError
             return NodeRole(ROLE_INPUT, index=index, side=side)
         if kind == ROLE_ESCAPE:
-            gate, branch, chain = tokens[1], tokens[2], int(tokens[3])
+            gate, branch, chain = tokens[1], tokens[2], _integer(tokens[3])
             if branch not in (LEFT, RIGHT):
                 raise ValueError
             return NodeRole(ROLE_ESCAPE, gate=gate, branch=branch, chain=chain)
@@ -458,7 +468,7 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
             if node in layer:
                 raise GraphSyntaxError(lineno, f"layer for {node!r} given twice")
             try:
-                layer[node] = int(tokens[2])
+                layer[node] = _integer(tokens[2])
             except ValueError:
                 raise GraphSyntaxError(lineno, "layer must be an integer") from None
         else:
@@ -478,15 +488,13 @@ def validate_graph(graph: GameGraph, cmap: CorrespondenceMap):
     """Check the structural invariants every built game graph satisfies.
 
     The layer rule also rejects self-loops; parallel edges are found on the
-    adjacency the :class:`Graph` built.
+    adjacency the :class:`Graph` built.  Every node has a layer: the builder
+    gives each one, and ``import_graph`` refuses a board that lacks one.
     """
     layer, c = cmap.layer, graph.c
     at_c = 0
     for a, b, _tag in graph.edges:
-        try:
-            la, lb = layer[a], layer[b]
-        except KeyError as missing:
-            raise InconsistentGraphError(f"no layer for node {missing}") from None
+        la, lb = layer[a], layer[b]
         if graph.directed:
             if la != lb + 1:
                 raise InconsistentGraphError(

@@ -15,15 +15,15 @@ of remaining options, and a predecessor whose counter reaches 0 is lost.  All
 work is O(states + state edges), held in flat numpy arrays: one table of the
 class's states, 2 bytes a state on a board of fewer than 32,768 nodes and 4
 on a larger one (see ``_BYTES_PER_STATE``), and working memory bounded by
-``_SLICE`` and the frontier, which is kept in parts of at most ``_SLICE``
-states.  An undecided state's cell counts its options left; deciding it
-writes a stamp there, and its value, relative to the player to move, is
-that of the frontier that decided it: won or lost.  States never decided
-are draws, matching the classical equivalence with the repetition-draw
-rule.  The recorded distance is plies-to-termination under optimal play:
-winners minimize it, losers maximize it.  Each decided state's value and
-distance end up in its cell as one code, which the ``Solution`` keeps and
-answers queries from.
+``_SLICE`` and the frontier, kept as int32 runs and walked in parts of at
+most ``_SLICE`` states.  An undecided state's cell counts its options left;
+deciding it writes a stamp there, and its value, relative to the player to
+move, is that of the frontier that decided it: won or lost.  States never
+decided are draws, matching the classical equivalence with the
+repetition-draw rule.  The recorded distance is plies-to-termination under
+optimal play: winners minimize it, losers maximize it.  Each decided
+state's value and distance end up in its cell as one code, which the
+``Solution`` keeps and answers queries from.
 
 No move changes ``level(cat) - level(mouse) - turn`` modulo the graph's
 period (see ``_Classes``), so the states fall into classes closed under
@@ -384,7 +384,7 @@ _BYTES_PER_STATE = 2
 # directed ladder boards of about 80,000, whose start's class is under 4%
 # of them, at 4 bytes a state past 32,768 nodes.  It keeps a class under
 # 2^31 states, and so its codes within int32 and its state indices within
-# the frontier's int32 parts.
+# the frontier's int32 runs.
 _MAX_TABLE_BYTES = 2 * 2**30
 # States in one part of the frontier, and predecessors gathered at once;
 # bounds the buffers of a ply.
@@ -411,10 +411,11 @@ def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
     has any.  Deciding a state writes its ``layout.order`` stamp, 0 or more,
     into its cell (see ``_ply``), and the next ply, walking the frontier
     that holds it, its code, which says whether it is lost or won.
-    Terminal states start decided, at 0; a stuck mover's state starts at -1
-    and in the lost frontier.  A class whose table would exceed
-    ``_MAX_TABLE_BYTES`` is refused with TooLargeError, before it is
-    allocated or as it widens."""
+    Terminal states start decided, at 0, in the lost or the won frontier;
+    a stuck mover's state starts at -1 and in the lost frontier.  Each
+    frontier is a list of runs of states (see ``_parts``).  A class whose
+    table would exceed ``_MAX_TABLE_BYTES`` is refused with TooLargeError,
+    before it is allocated or as it widens."""
     n, group, base = classes.n, classes.group, layout.base
     # -1 - out-degree is -n - 1 or more, and the stamps are below n or
     # _SLICE (see ``_Layout``), so int16 holds both below 2^15 nodes.
@@ -438,9 +439,7 @@ def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
     terminal = base[rows[here]] + movers[here]
     code[terminal] = 0
     is_lost = has_lost[here]
-    lost, won = _Frontier(), _Frontier()
-    lost.add(terminal[is_lost])
-    won.add(terminal[~is_lost])
+    lost, won = [terminal[is_lost]], [terminal[~is_lost]]
     # A player to move with no way out loses on the spot: the stuck movers'
     # cells that are not terminal, in the rows that hold their group.
     stuck = np.flatnonzero(classes.out_deg == 0)
@@ -449,13 +448,12 @@ def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
         movers = stuck[group[stuck] == g]
         other = rows % n
         live = (other != movers) & np.where(rows < n, other != hole, movers != hole)
-        lost.add((base[rows] + movers)[live])
-    frontier = lost.close(), won.close()
+        lost.append((base[rows] + movers)[live])
 
     plies = 0
     while True:
-        frontier = _ply(classes, layout, *frontier, plies, code)
-        if not any(frontier):
+        lost, won = _ply(classes, layout, lost, won, plies, code)
+        if not (lost or won):
             break
         plies += 1
         if plies == 2**14 and code.dtype == np.int16:
@@ -479,41 +477,27 @@ def _check_budget(classes, layout, per_state: int) -> None:
         )
 
 
-class _Frontier(list):
-    """States in parts of at most ``_SLICE``, the unit ``_ply`` walks.
+def _parts(runs):
+    """Yield the states of the frontier ``runs``, in order, in intp parts
+    of at most ``_SLICE``, the unit ``_ply`` walks: a long run is split and
+    short ones are joined.
 
-    ``add`` splits a long run of states and holds short ones back until
-    they fill a part; ``close`` makes the last part and returns the parts.
-    Every part but the last is stored as int32, half of intp: a large
+    ``_ply`` keeps each run it finds as int32, half of intp: a large
     frontier is most of a solve's working memory beyond its tables, and
-    ``_MAX_TABLE_BYTES`` keeps every state index under 2^31.  The last part
-    keeps the dtype of its runs, so a frontier of one part, as on small
-    boards, is never converted: numpy converts an int32 index on every
-    gather, a fixed cost a call that a full part's states dwarf.
+    ``_MAX_TABLE_BYTES`` keeps every state index under 2^31.  Each part is
+    made intp here, once: numpy converts other index types on every gather.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._held: list[np.ndarray] = []
-        self._count = 0
-
-    def add(self, states: np.ndarray) -> None:
-        for lo in range(0, states.size, _SLICE):
-            run = states[lo:lo + _SLICE]
-            if self._count + run.size > _SLICE:
-                self._part(np.concatenate(self._held, dtype=np.int32))
-            self._held.append(run)
-            self._count += run.size
-
-    def close(self) -> _Frontier:
-        held = self._held
-        if held:
-            self._part(held[0] if len(held) == 1 else np.concatenate(held))
-        return self
-
-    def _part(self, states: np.ndarray) -> None:
-        self.append(states)
-        self._held, self._count = [], 0
+    held, count = [], 0
+    for run in runs:
+        for lo in range(0, run.size, _SLICE):
+            piece = run[lo:lo + _SLICE]
+            if count + piece.size > _SLICE:
+                yield np.concatenate(held, dtype=np.intp)
+                held, count = [], 0
+            held.append(piece)
+            count += piece.size
+    if held:
+        yield np.concatenate(held, dtype=np.intp)
 
 
 class _Classes:
@@ -651,40 +635,41 @@ class _Layout(NamedTuple):
     order: np.ndarray
 
 
-def _ply(classes, layout, lost, won, plies, code) -> tuple[_Frontier, _Frontier]:
+def _ply(classes, layout, lost, won, plies, code) -> tuple[list, list]:
     """Decide every state whose fate follows from the frontier.
 
-    The frontier comes as two ``_Frontier``s: ``lost``, whose states are
-    lost for their mover, and ``won``.  The lost parts are walked first,
-    each undecided predecessor of theirs won, then the won parts, each
-    undecided predecessor losing an option.  A state is undecided while its
-    cell in ``code``, -1 minus its options left, is below -1.  Returns the
-    states decided now, lost and won, in the same form, so a ply's buffers
+    The frontier comes as two lists of runs of states, walked in the parts
+    ``_parts`` makes: first ``lost``, whose states are lost for their mover,
+    each undecided predecessor of theirs won, then ``won``, each undecided
+    predecessor losing an option.  A state is undecided while its cell in
+    ``code``, -1 minus its options left, is below -1.  Returns the states
+    decided now, lost and won, as non-empty int32 runs, so a ply's buffers
     are sized to a part or a slice of predecessors, never to the whole
-    frontier.  ``np.add.at`` takes an option for each repeat of a state
-    among the predecessors, in the table's own dtype, which keeps it on
-    numpy's fast loop.  No cell passes -1, that of a state with no option
-    left: each successor is walked once and takes at most one option from
-    each predecessor, and decided cells are filtered out before the add.  A
-    state decided now is kept once, one repeat of it found by stamping its
-    cell with ``layout.order``, which also marks it decided.  The frontier's
+    frontier, and a ply that decides nothing returns two empty lists.
+    ``np.add.at`` takes an option for each repeat of a state among the
+    predecessors, in the table's own dtype, which keeps it on numpy's fast
+    loop.  No cell passes -1, that of a state with no option left: each
+    successor is walked once and takes at most one option from each
+    predecessor, and decided cells are filtered out before the add.  A state
+    decided now is kept once, one repeat of it found by stamping its cell
+    with ``layout.order``, which also marks it decided.  The frontier's
     states are decided, so their cells are free: each takes its code as its
     part is walked, 2 * ``plies`` + 1 if lost and 2 * ``plies`` if won.
     """
-    now_lost, now_won = _Frontier(), _Frontier()
+    now_lost, now_won = [], []
     order = layout.order
     # A loss for the mover is a win for the mover of each predecessor.
-    for part in lost:
+    for part in _parts(lost):
         code[part] = 2 * plies + 1
         for pred in classes.predecessors(part, layout):
             pred = pred[code[pred] < -1]
             if pred.size:
                 code[pred] = order[:pred.size]
-                now_won.add(pred[code[pred] == order[:pred.size]])
+                now_won.append(pred[code[pred] == order[:pred.size]].astype(np.int32))
     # A win for the mover takes one option from each predecessor; one left
     # with none, at -1, is lost for its mover.
     one = code.dtype.type(1)
-    for part in won:
+    for part in _parts(won):
         code[part] = 2 * plies
         for hit in classes.predecessors(part, layout):
             hit = hit[code[hit] < -1]
@@ -693,8 +678,8 @@ def _ply(classes, layout, lost, won, plies, code) -> tuple[_Frontier, _Frontier]
                 hit = hit[code[hit] == -1]
                 if hit.size:
                     code[hit] = order[:hit.size]
-                    now_lost.add(hit[code[hit] == order[:hit.size]])
-    return now_lost.close(), now_won.close()
+                    now_lost.append(hit[code[hit] == order[:hit.size]].astype(np.int32))
+    return now_lost, now_won
 
 
 def outcome(instance: GameInstance) -> Outcome:

@@ -384,6 +384,28 @@ class TestExportImport:
             import_graph(edited)
         assert err.value.line == at
 
+    @pytest.mark.parametrize("line, at, message", [
+        ("node g0.M.1 gadget g0 1 M", 4, "bad role declaration"),
+        ("node i0.M input 0 M", 3, "bad role declaration"),
+        ("node g0.esc.L.1 escape g0 L 1", 5, "bad role declaration"),
+        ("layer g0.M.1 4", 2, "layer must be an integer"),
+    ], ids=["position", "index", "chain", "layer"])
+    @pytest.mark.parametrize("respell", [
+        "+{}".format, "0{}".format, "0_{}".format,
+        lambda digits: digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    ], ids=["plus", "leading-zero", "underscore", "arabic-indic"])
+    def test_an_integer_spelled_otherwise_is_refused(self, line, at, message, respell):
+        # int() reads each spelling, but the board would export it as digits.
+        text = export_graph(*build_undirected(parse_circuit(ONE_AND), "11"))
+        tokens = line.split()
+        tokens[at] = respell(tokens[at])
+        bad = " ".join(tokens)
+        assert bad != line and text.count(f"\n{line}\n") == 1
+        edited = text.replace(f"\n{line}\n", f"\n{bad}\n")
+        with pytest.raises(GraphSyntaxError, match=message) as err:
+            import_graph(edited)
+        assert err.value.line == edited.splitlines().index(bad) + 1
+
     @pytest.mark.parametrize("old, new, error, message", [
         ("edge g0.M.1 g0.M.2 gadget-internal", "edge g0.M.1 g0.M.4 gadget-internal",
          InconsistentGraphError, "edge 'g0.M.1' -- 'g0.M.4' spans layers 4 -- 2"),
@@ -405,6 +427,16 @@ class TestExportImport:
          InconsistentGraphError, "missing special node 'd'"),
         ("layer g0.M.1 4\n", "",
          InconsistentGraphError, "missing layer for 'g0.M.1'"),
+        ("node g0.M.1 gadget g0 1 M\n", "node g0.M.1 gadget g0 6 M\n",
+         GraphSyntaxError, "bad role declaration: gadget g0 6 M"),
+        ("node g0.M.1 gadget g0 1 M\n", "node g0.M.1 gadget g0 1 X\n",
+         GraphSyntaxError, "bad role declaration: gadget g0 1 X"),
+        ("node i0.M input 0 M\n", "node i0.M input 0 X\n",
+         GraphSyntaxError, "bad role declaration: input 0 X"),
+        ("node g0.esc.L.1 escape g0 L 1\n", "node g0.esc.L.1 escape g0 Q 1\n",
+         GraphSyntaxError, "bad role declaration: escape g0 Q 1"),
+        ("pair g0.M.5 g0.C.5\n", "pair g0.M.5 g0.C.5 zz\n",
+         GraphSyntaxError, "expected: pair <mouse> <cat>"),
     ])
     def test_an_edited_board_is_refused(self, old, new, error, message):
         text = export_graph(*build_undirected(parse_circuit(ONE_AND), "11"))

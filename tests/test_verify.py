@@ -140,6 +140,42 @@ def test_a_missing_edge_is_counted_under_its_tag(tag):
     assert any(p.startswith("edge count ") for p in problems), problems
 
 
+def renamed(graph, old, new):
+    """``graph`` with node ``old`` called ``new``."""
+    name = {old: new}.get
+    return dataclasses.replace(
+        graph,
+        nodes=tuple(name(v, v) for v in graph.nodes),
+        edges=tuple((name(a, a), name(b, b), tag) for a, b, tag in graph.edges),
+        roles={name(v, v): role for v, role in graph.roles.items()},
+    )
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda g, m: (g, dataclasses.replace(m, layer={**m.layer, g.h: 1})),
+     ["hole is on the wrong level"]),
+    (lambda g, m: (dataclasses.replace(g, edges=g.edges + ((g.h, g.d, "x"),)), m),
+     ["h has outgoing edges"]),
+    (lambda g, m: (g, dataclasses.replace(
+        m, cat_of={k: v for k, v in m.cat_of.items() if k != "g0.M.3"})),
+     ["g0.M.3 has no partner in the other copy",
+      "g0.C.3 has no partner in the other copy"]),
+    (lambda g, m: (renamed(g, "g0.esc.L.1", "g0.esc.L.x"), m),
+     ["g0/L: missing chain node g0.esc.L.1"]),
+    (lambda g, m: (dataclasses.replace(g, roles={
+        **g.roles, "g0.esc.R.1": reduction.NodeRole(reduction.ROLE_GADGET, "g0", 1, "M")}), m),
+     ["g0/R: g0.esc.R.1 has the wrong role"]),
+], ids=["hole-level", "edge-out-of-h", "unpaired", "renamed-escape", "escape-role"])
+def test_each_edited_field_is_a_problem(edit, expected):
+    # The true directed one-AND board audits clean; each edit of one of its
+    # fields raises its own problem line.
+    circuit = parse_circuit(ONE_AND)
+    graph, cmap = reduction.build_directed(circuit, "11")
+    assert audit_board(graph, cmap, circuit, "11") == []
+    problems = audit_board(*edit(graph, cmap), circuit, "11")
+    assert [p for p in problems if p in expected] == expected, problems
+
+
 class TestBuildsPerCall:
     def test_verify_builds_each_mode_once(self, monkeypatch):
         calls = count_builds(monkeypatch)
