@@ -184,8 +184,6 @@ def parse_circuit(text: str) -> Circuit:
         if keyword == "inputs":
             if num_inputs is not None:
                 raise CircuitSyntaxError(lineno, "duplicate inputs declaration")
-            if gates or output is not None:
-                raise CircuitSyntaxError(lineno, "inputs must come first")
             if len(tokens) != 2 or not re.fullmatch(r"[0-9]+", tokens[1]):
                 raise CircuitSyntaxError(lineno, "expected: inputs <count>")
             num_inputs = int(tokens[1])

@@ -176,7 +176,6 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
     depth = layers[circuit.output]
     _bit, values = evaluate(circuit, bits)
 
-    nodes: list[str] = []
     roles: dict[str, NodeRole] = {}
     layer: dict[str, int] = {}
     cat_of: dict[str, str] = {}
@@ -188,7 +187,6 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
     top: dict[tuple[str, str], str] = {}
 
     def add(node: str, role: NodeRole, lvl: int):
-        nodes.append(node)
         roles[node] = role
         layer[node] = lvl
 
@@ -248,14 +246,15 @@ def _build(circuit: Circuit, bits, directed: bool) -> tuple[GameGraph, Correspon
                 edges.append((a, cat_of[b], TAG_GUARD))
 
     special = {"c": "c", "m": top[circuit.output, MOUSE_SIDE], "h": "h", "d": "d"}
-    return _board(directed, nodes, roles, edges, special, cat_of, layer)
+    return _board(directed, roles, edges, special, cat_of, layer)
 
 
-def _board(directed: bool, nodes, roles, edges, special: dict[str, str], cat_of: dict[str, str],
+def _board(directed: bool, roles, edges, special: dict[str, str], cat_of: dict[str, str],
            layer: dict[str, int]) -> tuple[GameGraph, CorrespondenceMap]:
     """The graph and map of a built or imported board, once validated;
-    ``special`` names the nodes c, m, h and d."""
-    graph = GameGraph(directed=directed, nodes=tuple(nodes), roles=roles,
+    the nodes come in the order ``roles`` holds them, and ``special`` names
+    the nodes c, m, h and d."""
+    graph = GameGraph(directed=directed, nodes=tuple(roles), roles=roles,
                       edges=tuple(edges), **special)
     cmap = CorrespondenceMap(cat_of=cat_of, mouse_of={v: k for k, v in cat_of.items()},
                              layer=layer)
@@ -302,10 +301,6 @@ def _role_tokens(role: NodeRole) -> list[str]:
     return [role.kind]
 
 
-# The tokens of a role declaration, its kind included; any other kind takes 1.
-_ROLE_TOKEN_COUNT = {ROLE_GADGET: 4, ROLE_INPUT: 3, ROLE_ESCAPE: 4}
-
-
 def _integer(token: str) -> int:
     """``token`` as an int, if export would write that int as ``token``;
     else ValueError.  ``int`` alone also reads ``+1``, ``01``, ``0_4`` and
@@ -318,25 +313,26 @@ def _integer(token: str) -> int:
 
 def _role_from_tokens(tokens: list[str], lineno: int) -> NodeRole:
     kind = tokens[0]
+    # Each unpacking refuses a missing or extra token with ValueError; a
+    # kind without fields takes no token after it.
     try:
-        if len(tokens) != _ROLE_TOKEN_COUNT.get(kind, 1):
-            raise ValueError
         if kind == ROLE_GADGET:
-            gate, pos, side = tokens[1], _integer(tokens[2]), tokens[3]
+            _, gate, pos, side = tokens
+            pos = _integer(pos)
             if pos not in range(1, 6) or side not in (CAT_SIDE, MOUSE_SIDE):
                 raise ValueError
             return NodeRole(ROLE_GADGET, gate=gate, position=pos, side=side)
         if kind == ROLE_INPUT:
-            index, side = _integer(tokens[1]), tokens[2]
+            _, index, side = tokens
             if side not in (CAT_SIDE, MOUSE_SIDE):
                 raise ValueError
-            return NodeRole(ROLE_INPUT, index=index, side=side)
+            return NodeRole(ROLE_INPUT, index=_integer(index), side=side)
         if kind == ROLE_ESCAPE:
-            gate, branch, chain = tokens[1], tokens[2], _integer(tokens[3])
+            _, gate, branch, chain = tokens
             if branch not in (LEFT, RIGHT):
                 raise ValueError
-            return NodeRole(ROLE_ESCAPE, gate=gate, branch=branch, chain=chain)
-        if kind in (ROLE_CAT_START, ROLE_HOLE, ROLE_DEAD_END):
+            return NodeRole(ROLE_ESCAPE, gate=gate, branch=branch, chain=_integer(chain))
+        if kind in (ROLE_CAT_START, ROLE_HOLE, ROLE_DEAD_END) and len(tokens) == 1:
             return NodeRole(kind)
     except ValueError:
         pass
@@ -402,7 +398,6 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
     Mouse/Cat pairing).
     """
     directed: bool | None = None
-    nodes: list[str] = []
     roles: dict[str, NodeRole] = {}
     edges: list[tuple[str, str, str]] = []
     specials: dict[str, str] = {}
@@ -426,7 +421,6 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
             node = tokens[1]
             if node in roles:
                 raise InconsistentGraphError(f"node {node!r} declared twice")
-            nodes.append(node)
             roles[node] = _role_from_tokens(tokens[2:], lineno)
         elif keyword == "edge":
             if len(tokens) != 4:
@@ -478,10 +472,10 @@ def import_graph(text: str) -> tuple[GameGraph, CorrespondenceMap]:
     for key in ("c", "m", "h", "d"):
         if key not in specials:
             raise InconsistentGraphError(f"missing special node {key!r}")
-    missing_layer = [n for n in nodes if n not in layer]
+    missing_layer = [n for n in roles if n not in layer]
     if missing_layer:
         raise InconsistentGraphError(f"missing layer for {missing_layer[0]!r}")
-    return _board(directed, nodes, roles, edges, specials, cat_of, layer)
+    return _board(directed, roles, edges, specials, cat_of, layer)
 
 
 def validate_graph(graph: GameGraph, cmap: CorrespondenceMap):

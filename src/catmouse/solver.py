@@ -761,10 +761,10 @@ def minimax_oracle(instance: GameInstance) -> Outcome:
     graphs of at most 10 nodes.
     """
     graph = instance.graph
-    ids = tuple(graph.nodes)
-    if len(ids) > _ORACLE_LIMIT:
-        raise TooLargeError(f"{len(ids)} nodes; the oracle allows {_ORACLE_LIMIT}")
-    horizon = 2 * len(ids) * len(ids) + 1
+    n = len(graph.nodes)
+    if n > _ORACLE_LIMIT:
+        raise TooLargeError(f"{n} nodes; the oracle allows {_ORACLE_LIMIT}")
+    horizon = 2 * n * n + 1
     memo: dict[tuple[GameState, int], Outcome] = {}
 
     def search(state: GameState, plies_left: int) -> Outcome:
@@ -772,23 +772,19 @@ def minimax_oracle(instance: GameInstance) -> Outcome:
         if winner is not None:
             return winner
         mover = state.turn
-        position = state.cat if mover == CAT else state.mouse
-        legal = graph.neighbors_out(position)
+        mover_loss = Outcome.MOUSE_WIN if mover == CAT else Outcome.CAT_WIN
+        legal = graph.neighbors_out(state.position)
         if not legal:
-            return Outcome.MOUSE_WIN if mover == CAT else Outcome.CAT_WIN
+            return mover_loss
         if plies_left == 0:
             return Outcome.DRAW
         key = (state, plies_left)
         if key in memo:
             return memo[key]
         mover_win = Outcome.CAT_WIN if mover == CAT else Outcome.MOUSE_WIN
-        best = Outcome.MOUSE_WIN if mover == CAT else Outcome.CAT_WIN
+        best = mover_loss
         for move in sorted(set(legal)):
-            if mover == CAT:
-                nxt = GameState(move, state.mouse, MOUSE)
-            else:
-                nxt = GameState(state.cat, move, CAT)
-            value = search(nxt, plies_left - 1)
+            value = search(state.after(move), plies_left - 1)
             if value is mover_win:
                 best = value
                 break

@@ -94,16 +94,11 @@ class VerificationReport:
         return not self.violations
 
 
-def _bits_text(bits) -> str:
-    if isinstance(bits, str):
-        return bits
-    return "".join("1" if b else "0" for b in bits)
-
-
 def verify_equivalence(
     circuit: Circuit, bits, modes=MODES
 ) -> VerificationReport:
-    value = bool(evaluate(circuit, bits)[0])
+    out, values = evaluate(circuit, bits)
+    value = bool(out)
     outcomes: dict = {}
     scripted: dict = {}
     violations: list[str] = []
@@ -113,7 +108,8 @@ def verify_equivalence(
         outcomes[mode], scripted[mode] = _verify_mode(
             circuit, bits, mode, value, violations)
     return VerificationReport(
-        bits=_bits_text(bits),
+        bits="".join("1" if values[input_ref(i)] else "0"
+                     for i in range(circuit.num_inputs)),
         circuit_value=value,
         outcomes=outcomes,
         scripted=scripted,

@@ -22,6 +22,7 @@ from catmouse.circuits import (
     UnreachableGateError,
     evaluate,
     generate_random,
+    input_index,
     input_ref,
     layer_widths,
     parse_circuit,
@@ -283,3 +284,20 @@ def test_programmatic_construction_checks_structure():
 def test_input_ref_with_a_trailing_newline_is_rejected():
     with pytest.raises(CircuitError):
         Circuit(2, (Gate("g0", AND, "i0\n", "i1"),), "g0")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: input_index("g0"), UnknownRefError, "'g0' is not an input reference"),
+    (lambda: Circuit(0, (), "g0"), InvalidParamsError, "a circuit needs at least one input"),
+    (lambda: Circuit(2, (Gate("g0", "XOR", "i0", "i1"),), "g0"),
+     InvalidParamsError, "gate g0: bad kind 'XOR'"),
+    (lambda: Circuit(2, (Gate("i5", AND, "i0", "i1"),), "i5"),
+     DuplicateIdError, "gate id 'i5' shadows input syntax"),
+    (lambda: parse_circuit(SMALLEST).gate("zz"), UnknownRefError, "unknown gate 'zz'"),
+    (lambda: parse_circuit("inputs 0\n"), CircuitSyntaxError,
+     "line 1: need at least one input"),
+], ids=["input-index", "no-inputs", "bad-kind", "shadowing-id", "unknown-gate", "zero-inputs"])
+def test_each_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -136,6 +136,16 @@ class TestEval:
         assert main(["eval", and_file, "101"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_the_module_runs_as_a_script(self, and_file):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = (src, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        run = subprocess.run(
+            [sys.executable, "-m", "catmouse.cli", "eval", and_file, "11"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "1\n", "")
+
     def test_missing_file_is_a_usage_error(self, capsys):
         assert main(["eval", "no-such-file", "11"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -437,12 +437,28 @@ class TestExportImport:
          GraphSyntaxError, "bad role declaration: escape g0 Q 1"),
         ("pair g0.M.5 g0.C.5\n", "pair g0.M.5 g0.C.5 zz\n",
          GraphSyntaxError, "expected: pair <mouse> <cat>"),
+        ("edge c g0.C.1 opening", "edge c g0.C.1 nosuch",
+         GraphSyntaxError, "line 21: unknown edge tag 'nosuch'"),
+        ("layer g0.M.1 4", "layer g0.M.1",
+         GraphSyntaxError, "line 75: expected: layer <id> <n>"),
     ])
     def test_an_edited_board_is_refused(self, old, new, error, message):
         text = export_graph(*build_undirected(parse_circuit(ONE_AND), "11"))
         assert text.count(old) == 1
         with pytest.raises(error, match=re.escape(message)):
             import_graph(text.replace(old, new))
+
+    def test_blank_lines_and_comments_are_skipped(self):
+        text = export_graph(*build_undirected(parse_circuit(ONE_AND), "11"))
+        lines = text.splitlines(keepends=True)
+        middle = len(lines) // 2
+        edited = "".join(["# a board\n", "\n"] + lines[:middle]
+                         + ["   \n", "  # halfway\n"] + lines[middle:])
+        assert export_graph(*import_graph(edited)) == text
+
+    def test_an_unknown_format_is_refused(self):
+        with pytest.raises(ValueError, match="unknown format 'svg'"):
+            export_graph(*build_directed(parse_circuit(ONE_AND), "11"), fmt="svg")
 
     def test_export_is_deterministic(self):
         circuit = parse_circuit(THREE_GATE)
