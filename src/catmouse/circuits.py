@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 AND = "AND"
 OR = "OR"
@@ -96,8 +97,7 @@ def input_index(ref: str) -> int:
     return int(m.group(1))
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """A single fan-in-2 monotone gate."""
 
     id: str
@@ -159,9 +159,6 @@ class Circuit:
             return self.gates[self._index[gate_id]]
         except KeyError:
             raise UnknownRefError(f"unknown gate {gate_id!r}") from None
-
-    def has_gate(self, gate_id: str) -> bool:
-        return gate_id in self._index
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -267,7 +264,12 @@ def _normalize_bits(circuit: Circuit, bits) -> tuple[int, ...]:
             raise InvalidParamsError(f"assignment {bits!r} is not a 0/1 string")
         values = tuple(int(b) for b in bits)
     else:
-        values = tuple(int(bool(b)) for b in bits)
+        values = tuple(bits)
+        for k, b in enumerate(values):
+            # A bool, int or numpy scalar equal to 0 or 1; "0" is no bit.
+            if isinstance(b, (str, bytes)) or not (b == 0 or b == 1):
+                raise InvalidParamsError(f"assignment bit {k} is {b!r}, not 0 or 1")
+        values = tuple(map(int, values))
     if len(values) != circuit.num_inputs:
         raise LengthMismatchError(
             f"assignment has {len(values)} bits, circuit has {circuit.num_inputs} inputs"
@@ -278,7 +280,9 @@ def _normalize_bits(circuit: Circuit, bits) -> tuple[int, ...]:
 def evaluate(circuit: Circuit, bits) -> tuple[int, dict[str, bool]]:
     """Evaluate the circuit on an assignment.
 
-    ``bits`` is a 0/1 string (index 0 leftmost) or a sequence of booleans.
+    ``bits`` is a 0/1 string (index 0 leftmost) or a sequence of bits, each
+    a bool, int or numpy scalar equal to 0 or 1; anything else raises
+    InvalidParamsError.
     Returns the output bit together with the value of every node.
     """
     values_in = _normalize_bits(circuit, bits)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuits import AND, Circuit, evaluate, input_ref, is_input_ref, validate_layers
 from .solver import Graph, TooLargeError
@@ -88,20 +89,21 @@ class UnknownNodeError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class NodeRole:
+class NodeRole(NamedTuple):
     """What a game-graph node stands for.
 
     ``kind`` is one of the ROLE_* constants; the remaining fields are filled
     according to the kind (gate/position/side for gadget nodes, index/side for
-    input nodes, gate/branch/chain for escape-chain nodes).
+    input nodes, gate/branch/chain for escape-chain nodes).  The fields come
+    in the order a board file writes them, so a role's tokens are its fields
+    that are not None.
     """
 
     kind: str
     gate: str | None = None
     position: int | None = None
-    side: str | None = None
     index: int | None = None
+    side: str | None = None
     branch: str | None = None
     chain: int | None = None
 
@@ -153,7 +155,6 @@ class CorrespondenceMap:
     """Mouse-copy to Cat-copy node bijection plus the layer labelling."""
 
     cat_of: dict[str, str]
-    mouse_of: dict[str, str]
     layer: dict[str, int]
 
 
@@ -256,8 +257,7 @@ def _board(directed: bool, roles, edges, special: dict[str, str], cat_of: dict[s
     the nodes c, m, h and d."""
     graph = GameGraph(directed=directed, nodes=tuple(roles), roles=roles,
                       edges=tuple(edges), **special)
-    cmap = CorrespondenceMap(cat_of=cat_of, mouse_of={v: k for k, v in cat_of.items()},
-                             layer=layer)
+    cmap = CorrespondenceMap(cat_of=cat_of, layer=layer)
     validate_graph(graph, cmap)
     return graph, cmap
 
@@ -292,13 +292,7 @@ def stats(graph: GameGraph) -> dict:
 
 
 def _role_tokens(role: NodeRole) -> list[str]:
-    if role.kind == ROLE_GADGET:
-        return [ROLE_GADGET, role.gate, str(role.position), role.side]
-    if role.kind == ROLE_INPUT:
-        return [ROLE_INPUT, str(role.index), role.side]
-    if role.kind == ROLE_ESCAPE:
-        return [ROLE_ESCAPE, role.gate, role.branch, str(role.chain)]
-    return [role.kind]
+    return [str(field) for field in role if field is not None]
 
 
 def _integer(token: str) -> int:

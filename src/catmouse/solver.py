@@ -687,8 +687,7 @@ def outcome(instance: GameInstance) -> Outcome:
     return solve(instance).outcome()
 
 
-@dataclass(frozen=True)
-class MatchTranscript:
+class MatchTranscript(NamedTuple):
     """A played-out game: the move list, how it ended, and why."""
 
     moves: tuple[tuple[int, str, str, str], ...]

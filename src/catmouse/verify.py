@@ -29,7 +29,7 @@ random circuits and returns serialized reproducers for any failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuits import (
     AND,
@@ -79,8 +79,7 @@ from .strategies import (
     make_true_path_mouse,
 )
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """What one circuit-and-assignment check found."""
 
     bits: str
@@ -97,6 +96,9 @@ class VerificationReport:
 def verify_equivalence(
     circuit: Circuit, bits, modes=MODES
 ) -> VerificationReport:
+    # A string is one name, not a tuple of them.
+    if isinstance(modes, str) or not modes or any(m not in MODES for m in modes):
+        raise InvalidParamsError(f"modes must be one or more of {MODES}, got {modes!r}")
     out, values = evaluate(circuit, bits)
     value = bool(out)
     outcomes: dict = {}
@@ -240,8 +242,7 @@ def audit_board(graph, cmap, circuit: Circuit, bits) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """The walk of one side's fixed policy against every opposing move:
     ``walk`` maps each (cat, mouse, turn) state reached from the start to
     the states its moves lead to.  ``shortest`` and ``longest`` count the
@@ -324,8 +325,7 @@ def certify_strategy(instance: GameInstance, side: str, policy) -> Certificate:
     return Certificate(side, walk, len(walk), *span[start], tuple(problems))
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(NamedTuple):
     trial: int
     circuit_text: str
     bits: str
@@ -337,8 +337,7 @@ class FuzzFailure:
         return "\n".join(lines) + "\n" + self.circuit_text
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     checked: int
     failures: tuple[FuzzFailure, ...] = ()
 

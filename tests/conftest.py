@@ -69,7 +69,7 @@ def off_plan_replies(cmap, certificate):
             to = after[1]
             if cmap.layer[to] > cmap.layer[mouse]:
                 kind = "up"
-            elif to in cmap.mouse_of:
+            elif to in cmap.cat_of.values():
                 kind = "cat copy"
             else:
                 continue

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from catmouse.circuits import (
@@ -45,7 +46,7 @@ output c
 
 def all_paths_to_inputs(circuit, ref):
     """Oracle: enumerate the lengths of all paths from ref down to inputs."""
-    if ref.startswith("i") and not circuit.has_gate(ref):
+    if ref.startswith("i") and all(g.id != ref for g in circuit.gates):
         return [0]
     gate = circuit.gate(ref)
     lengths = []
@@ -182,6 +183,29 @@ class TestEvaluate:
     def test_bool_sequence_accepted(self):
         c = parse_circuit(SMALLEST)
         assert evaluate(c, [True, True])[0] == 1
+
+    @pytest.mark.parametrize("bits", [
+        [1, 0], (True, False), [np.int64(1), np.int8(0)], np.array([True, False]),
+        [1.0, 0.0],
+    ], ids=["ints", "bools", "numpy-ints", "numpy-bools", "floats"])
+    def test_a_sequence_of_zeros_and_ones_is_read_as_bits(self, bits):
+        c = parse_circuit(SMALLEST)
+        assert evaluate(c, bits) == evaluate(c, "10")
+
+    @pytest.mark.parametrize("bits, message", [
+        (["0", "0"], "assignment bit 0 is '0', not 0 or 1"),
+        ([1, "1"], "assignment bit 1 is '1', not 0 or 1"),
+        ([2, 0], "assignment bit 0 is 2, not 0 or 1"),
+        ([0, -1], "assignment bit 1 is -1, not 0 or 1"),
+        (b"00", "assignment bit 0 is 48, not 0 or 1"),
+        ([b"1", 0], "assignment bit 0 is b'1', not 0 or 1"),
+        ([0, None], "assignment bit 1 is None, not 0 or 1"),
+    ], ids=["strings", "a-string", "two", "minus-one", "bytes", "a-byte-string", "none"])
+    def test_an_item_other_than_zero_or_one_is_refused(self, bits, message):
+        # Read by truth, "0" and 2 would each be a 1, and ["0", "0"] true.
+        with pytest.raises(InvalidParamsError) as err:
+            evaluate(parse_circuit(SMALLEST), bits)
+        assert str(err.value) == message
 
 
 class TestSerialize:

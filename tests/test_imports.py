@@ -1,7 +1,7 @@
 """Every imported name is used, no package module imports another's private
-name, the reference solver imports no private name, and every third-party
-module the tests import is a declared dependency: guards in place of a
-linter."""
+name, the reference solver imports no private name, every third-party
+module the tests import is a declared dependency, and the package imports
+only its runtime ones: guards in place of a linter."""
 
 import ast
 import re
@@ -64,15 +64,32 @@ def top_level_imports(path: Path) -> set[str]:
     return {name.split(".")[0] for name in names}
 
 
-def test_test_dependencies_are_declared():
+def declared(*groups: str) -> set[str]:
+    """The module names of pyproject's ``dependencies`` and of the named
+    optional-dependency groups."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
-                for r in requirements}
+    requirements = project["dependencies"] + [
+        r for group in groups for r in project["optional-dependencies"][group]]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def third_party_imports(paths, local: set[str]) -> set[str]:
+    imported = set().union(*(top_level_imports(p) for p in paths))
+    return imported - set(sys.stdlib_module_names) - local
+
+
+def test_test_dependencies_are_declared():
     tests = sorted((ROOT / "tests").glob("*.py"))
-    local = {p.stem for p in tests} | {"catmouse"}
-    imported = set().union(*(top_level_imports(p) for p in tests))
-    third_party = imported - set(sys.stdlib_module_names) - local
+    third_party = third_party_imports(tests, {p.stem for p in tests} | {"catmouse"})
     assert third_party
-    assert sorted(third_party - declared) == []
+    assert sorted(third_party - declared("test")) == []
+
+
+def test_the_package_imports_only_its_runtime_dependencies():
+    # A test-only module (scipy, pytest) imported by the package, even
+    # inside a function, would break an install without the test extras.
+    third_party = third_party_imports(sorted(ROOT.glob("src/catmouse/*.py")), {"catmouse"})
+    assert third_party
+    assert sorted(third_party - declared()) == []

@@ -252,12 +252,11 @@ class TestCopiesIsomorphic:
                 continue
             if a in cmap.cat_of and b in cmap.cat_of:
                 mouse_edges.add((cmap.cat_of[a], cmap.cat_of[b]))
-            elif a in cmap.mouse_of and b in cmap.mouse_of:
+            elif {a, b} <= set(cmap.cat_of.values()):
                 cat_edges.add((a, b))
         assert mouse_edges == cat_edges
         for mouse, cat in cmap.cat_of.items():
             assert cmap.layer[mouse] == cmap.layer[cat]
-            assert cmap.mouse_of[cat] == mouse
 
 
 class TestStats:
@@ -441,6 +440,11 @@ class TestExportImport:
          GraphSyntaxError, "line 21: unknown edge tag 'nosuch'"),
         ("layer g0.M.1 4", "layer g0.M.1",
          GraphSyntaxError, "line 75: expected: layer <id> <n>"),
+        ("edge g0.M.1 g0.M.2 gadget-internal",
+         "edge g0.M.1 g0.M.2 gadget-internal\nedge g0.M.2 g0.M.1 gadget-internal",
+         InconsistentGraphError, "parallel edge 'g0.M.1' -> 'g0.M.2'"),
+        ("edge c g0.C.1 opening", "edge c g0.C.1 opening extra",
+         GraphSyntaxError, "line 21: expected: edge <a> <b> <tag>"),
     ])
     def test_an_edited_board_is_refused(self, old, new, error, message):
         text = export_graph(*build_undirected(parse_circuit(ONE_AND), "11"))

@@ -74,6 +74,24 @@ class TestVerifyEquivalence:
         assert report.ok
         assert set(report.outcomes) == {"directed"}
 
+    @pytest.mark.parametrize("modes", [
+        ("diag",), "directed", (), ("directed", "diag"),
+    ], ids=["unknown", "string", "empty", "one-unknown"])
+    def test_bad_modes_are_refused_before_any_build(self, monkeypatch, modes):
+        # A string would be walked letter by letter, and no modes would
+        # report ok with no board checked.
+        calls = count_builds(monkeypatch)
+        with pytest.raises(InvalidParamsError) as err:
+            verify_equivalence(parse_circuit(ONE_AND), "11", modes)
+        assert str(err.value) == (
+            f"modes must be one or more of ('directed', 'undirected'), got {modes!r}")
+        assert calls == []
+
+    def test_bits_that_are_not_zero_or_one_are_refused(self):
+        # Read by truth, ["0", "0"] would check the true board of 11.
+        with pytest.raises(InvalidParamsError, match="assignment bit 0 is '0'"):
+            verify_equivalence(parse_circuit(ONE_AND), ["0", "0"])
+
     def test_each_mode_is_freed_before_the_next(self):
         # The directed board and its solution, kept alive through the
         # undirected solve, added 1.3 MiB to the peak of both modes.
@@ -163,7 +181,7 @@ def renamed(graph, old, new):
     (lambda g, m: (renamed(g, "g0.esc.L.1", "g0.esc.L.x"), m),
      ["g0/L: missing chain node g0.esc.L.1"]),
     (lambda g, m: (dataclasses.replace(g, roles={
-        **g.roles, "g0.esc.R.1": reduction.NodeRole(reduction.ROLE_GADGET, "g0", 1, "M")}), m),
+        **g.roles, "g0.esc.R.1": reduction.NodeRole(reduction.ROLE_GADGET, gate="g0", position=1, side="M")}), m),
      ["g0/R: g0.esc.R.1 has the wrong role"]),
 ], ids=["hole-level", "edge-out-of-h", "unpaired", "renamed-escape", "escape-role"])
 def test_each_edited_field_is_a_problem(edit, expected):
