@@ -13,8 +13,8 @@ ply decided.  A predecessor is won for its mover as soon as one successor is
 won for them; each successor won for the opponent lowers a per-state counter
 of remaining options, and a predecessor whose counter reaches 0 is lost.  All
 work is O(states + state edges), held in flat numpy arrays: one table of the
-class's states, 2 bytes a state on a board of fewer than 32,768 nodes and 4
-on a larger one (see ``_BYTES_PER_STATE``), and working memory bounded by
+class's states, 2 bytes a state unless a node has 2^15 moves out or more than
+2^15 in, and 4 then (see ``_Layout``), and working memory bounded by
 ``_SLICE`` and the frontier, kept as int32 runs and walked in parts of at
 most ``_SLICE`` states.  An undecided state's cell counts its options left;
 deciding it writes a stamp there, and its value, relative to the player to
@@ -367,24 +367,17 @@ class Solution:
         return self._move
 
 
-# Bytes per (cat, mouse, turn) state of the class being solved, on a board
-# of fewer than 32,768 nodes: one int16 cell a state holds its count of
-# options left, then its stamp, then its code (see ``_attract``), which is
-# all a decided class keeps.  A larger board takes int32 cells, and a class
-# whose plies reach 2^14 widens its cells to int32 then, as the code
-# 2 * plies + 1 would not fit int16.  A solve's peak is the table plus
-# working memory bounded by ``_SLICE`` and the frontier: the traced peak
-# of directed (12, 64), 13,865 nodes, is 49.1 MiB over 36.7 MiB of table,
-# and that of undirected (8, 32), 2,881 nodes, 21.5 MiB over 15.8 MiB.
-_BYTES_PER_STATE = 2
 # A class whose table would exceed this is refused with TooLargeError
 # instead of running the host out of memory; the working memory comes on
-# top.  It admits every undirected ladder board of fewer than 32,768 nodes,
-# whose start's class is half of the 2n^2 states, at 2 bytes a state; and
-# directed ladder boards of about 80,000, whose start's class is under 4%
-# of them, at 4 bytes a state past 32,768 nodes.  It keeps a class under
-# 2^31 states, and so its codes within int32 and its state indices within
-# the frontier's int32 runs.
+# top.  A cell is 2 bytes unless a node has 2^15 moves out or more than
+# 2^15 in (see ``_Layout``), or the plies reach 2^14 (see ``_attract``).
+# So it admits undirected ladders of up to 32,768 nodes, whose start's
+# class is half of the 2n^2 states, and directed (35, 64), 190,367 nodes,
+# whose start's class is 1.4% of them.  The traced peak of directed
+# (18, 64), 40,325 nodes, is 221 MiB over 186 MiB of table, that of
+# undirected (8, 32) 21.5 MiB over 15.8 MiB.  It keeps a class under 2^31
+# states, and so its codes within int32 and its state indices within the
+# frontier's int32 runs.
 _MAX_TABLE_BYTES = 2 * 2**30
 # States in one part of the frontier, and predecessors gathered at once;
 # bounds the buffers of a ply.
@@ -417,9 +410,7 @@ def _attract(classes, layout, hole) -> tuple[np.ndarray, int]:
     table would exceed ``_MAX_TABLE_BYTES`` is refused with TooLargeError,
     before it is allocated or as it widens."""
     n, group, base = classes.n, classes.group, layout.base
-    # -1 - out-degree is -n - 1 or more, and the stamps are below n or
-    # _SLICE (see ``_Layout``), so int16 holds both below 2^15 nodes.
-    table = np.dtype(np.int16 if n < 2**15 else np.int32)
+    table = layout.order.dtype
     _check_budget(classes, layout, table.itemsize)
     # A row holds the movers of its group in slot order.
     options = (-1 - classes.out_deg).astype(table)
@@ -576,7 +567,8 @@ class _Classes:
         # The largest slice of predecessors: at most _SLICE of them or those
         # of one state, and at most those of every state in the class.
         longest = min(max(_SLICE, int(self.in_deg.max())), int(deg @ length))
-        order = np.arange(longest, dtype=np.int16 if longest < 2**15 else np.int32)
+        narrow = max(longest, int(self.out_deg.max()) + 1) <= 2**15
+        order = np.arange(longest, dtype=np.int16 if narrow else np.int32)
         return _Layout(end, base, back, mover, int(end[-1]), deg,
                        np.concatenate((ends, ends)), order)
 
@@ -623,7 +615,8 @@ class _Layout(NamedTuple):
     ``src[row_end[r] - row_deg[r]:row_end[r]]`` in the board's reverse CSR.
     ``order`` is 0, 1, 2, ..., as long as the largest slice of predecessors
     the class can yield, the stamps ``_ply`` writes; it is built with the
-    layout, so a kept board holds none."""
+    layout, so a kept board holds none.  Its dtype is the cells': int16
+    while -1 minus a state's options and the stamps fit, else int32."""
 
     end: np.ndarray
     base: np.ndarray

@@ -65,12 +65,11 @@ def make_mirror_cat(instance: GameInstance, cmap, circuit: Circuit, bits):
             role.kind == ROLE_GADGET
             and role.side == MOUSE_SIDE
             and role.position in (2, 3)
-            and circuit.gate(role.gate).kind == AND
+            and (gate := circuit.gate(role.gate)).kind == AND
         ):
             # Cross edges: Cat-side 2 covers Mouse-side 5, 3 covers 4.  Sit
             # on the one that seals the true child so the Mouse must take
             # the false one.
-            gate = circuit.gate(role.gate)
             position = 3 if values[gate.left] else 2
             target = gadget_node(role.gate, CAT_SIDE, position)
             if target in neighbors:

@@ -12,9 +12,11 @@ and a breach is one violation, ``<mode>: <optimal|scripted> play ended
 
 ``audit_board`` checks a built board against the census the circuit alone
 predicts (the node count, the edges of each tag and in all, the escape
-nodes, the stalk, the levels of c, m and h, the sinks, the copy partners,
-the escape chains).  The layer geometry and the copy pairing are not audited
-again: the builder's ``validate_graph`` enforces them on every board.
+nodes, the stalk, the special nodes' roles and levels, the sinks, the copy
+partners, the escape chains).  The layer geometry is not audited again: the
+builder's ``validate_graph`` enforces it on every board.  That check also
+puts each pair of partners on one layer; the audit checks that each
+Mouse-copy node's partner is the Cat-copy node of its role.
 ``check_structure`` is build-then-audit, kept for the benchmark, which calls
 it with a circuit, bits and a mode.
 
@@ -46,9 +48,15 @@ from .reduction import (
     BUILDERS,
     CAT_SIDE,
     EDGE_TAGS,
+    LEFT,
     MODES,
+    MOUSE_SIDE,
+    RIGHT,
+    ROLE_CAT_START,
+    ROLE_DEAD_END,
     ROLE_ESCAPE,
     ROLE_GADGET,
+    ROLE_HOLE,
     ROLE_INPUT,
     TAG_ESCAPE,
     TAG_GADGET,
@@ -60,6 +68,7 @@ from .reduction import (
     TAG_TO_HOLE,
     escape_node,
     gadget_node,
+    input_node,
     node_count,
     stats,
 )
@@ -172,8 +181,8 @@ def audit_board(graph, cmap, circuit: Circuit, bits) -> list[str]:
 
     The counts come first, each as ``"<name> <got>, expected <want>"``: the
     node count, the edges of each tag and in all, and the escape nodes.  The
-    stalk, the levels of c, m and h, the sinks, the copy partners and the
-    escape chains follow."""
+    stalk, the mouse start, the roles of c, h and d, the levels of c, m and
+    h, the sinks, the copy partners and the escape chains follow."""
     layers = validate_layers(circuit)
     depth = layers[circuit.output]
     _bit, values = evaluate(circuit, bits)
@@ -211,6 +220,15 @@ def audit_board(graph, cmap, circuit: Circuit, bits) -> list[str]:
 
     if graph.neighbors_out(graph.c) != (gadget_node(circuit.output, CAT_SIDE, 1),):
         problems.append("cat start does not feed exactly the output gadget")
+    mouse_start = gadget_node(circuit.output, MOUSE_SIDE, 1)
+    if graph.m != mouse_start:
+        problems.append(f"mouse start is {graph.m}, expected {mouse_start}")
+    for name, node, kind in (("cat start", graph.c, ROLE_CAT_START),
+                             ("hole", graph.h, ROLE_HOLE),
+                             ("dead end", graph.d, ROLE_DEAD_END)):
+        got = graph.role(node).kind
+        if got != kind:
+            problems.append(f"{name} has role {got}, expected {kind}")
     # validate_graph makes every directed edge drop one level, so on the
     # directed board the hole's level also puts each node its level away.
     for name, node, level in (("cat start", graph.c, 3 * depth + 2),
@@ -227,12 +245,20 @@ def audit_board(graph, cmap, circuit: Circuit, bits) -> list[str]:
     paired = set(cmap.cat_of) | set(cmap.cat_of.values())
     for v in graph.nodes:
         role = graph.role(v)
-        if role.kind in (ROLE_GADGET, ROLE_INPUT) and v not in paired:
+        if role.kind not in (ROLE_GADGET, ROLE_INPUT):
+            continue
+        if v not in paired:
             problems.append(f"{v} has no partner in the other copy")
+        elif role.side == MOUSE_SIDE:
+            want = (gadget_node(role.gate, CAT_SIDE, role.position)
+                    if role.kind == ROLE_GADGET else input_node(role.index, CAT_SIDE))
+            got = cmap.cat_of.get(v)
+            if got != want:
+                problems.append(f"{v} is paired with {got}, expected {want}")
 
     for g in gates:
         j = layers[g.id]
-        for branch in ("L", "R"):
+        for branch in (LEFT, RIGHT):
             chain = [escape_node(g.id, branch, t) for t in range(1, 3 * j - 1)]
             for v in chain:
                 if not graph.has_node(v):

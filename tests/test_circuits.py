@@ -320,7 +320,12 @@ def test_input_ref_with_a_trailing_newline_is_rejected():
     (lambda: parse_circuit(SMALLEST).gate("zz"), UnknownRefError, "unknown gate 'zz'"),
     (lambda: parse_circuit("inputs 0\n"), CircuitSyntaxError,
      "line 1: need at least one input"),
-], ids=["input-index", "no-inputs", "bad-kind", "shadowing-id", "unknown-gate", "zero-inputs"])
+    (lambda: parse_circuit("inputs 2\ngate g0 XOR i0 i1\noutput g0\n"), CircuitSyntaxError,
+     "line 2: unknown gate kind 'XOR'"),
+    (lambda: parse_circuit("inputs 2\ngate g0 AND i0 i1\noutput\n"), CircuitSyntaxError,
+     "line 3: expected: output <id>"),
+], ids=["input-index", "no-inputs", "bad-kind", "shadowing-id", "unknown-gate", "zero-inputs",
+        "unknown-gate-kind-line", "bare-output"])
 def test_each_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -215,7 +215,7 @@ class TestSolve:
         path.write_text("\n".join(lines) + "\n")
         graph, _cmap = import_graph(path.read_text())
         start = solve(GameInstance.from_game_graph(graph)).stats[0]
-        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", start.states * solver._BYTES_PER_STATE)
+        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", start.states * 2)
         assert main(["solve", str(path)]) == 0
         assert capsys.readouterr().out.startswith("outcome MouseWin\n")
         assert main(["solve", str(path), "--state", "w0,w1,Cat"]) == 2

@@ -201,7 +201,6 @@ def test_a_hub_of_many_moves(moves, monkeypatch):
     # below 2^15: the one class solves under a budget of exactly 2 bytes a
     # state and is refused one byte under it.
     states = 2 * len(graph.nodes) ** 2
-    assert solver._BYTES_PER_STATE == 2
     monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", states * 2)
     solution = solve(instance)
     assert solution.outcome() is Outcome.CAT_WIN
@@ -216,8 +215,8 @@ def test_a_start_class_under_the_budget_solves_on_a_board_over_it(monkeypatch):
     graph, _cmap = build_directed(circuit, "1" * circuit.num_inputs)
     instance = GameInstance.from_game_graph(graph)
     start = solve(instance).stats[0]
-    budget = start.states * solver._BYTES_PER_STATE
-    assert budget < 2 * len(graph.nodes) ** 2 * solver._BYTES_PER_STATE
+    budget = start.states * 2
+    assert budget < 2 * len(graph.nodes) ** 2 * 2
     monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", budget)
     got = solve(instance)._dense()
     want = reference_solve(instance)

@@ -342,7 +342,7 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = solution.stats[0].states * solver._BYTES_PER_STATE
+        tables = solution.stats[0].states * 2
         assert peak - tables < 4 * 2**20
 
     def test_a_solution_keeps_2_bytes_a_state(self):
@@ -402,9 +402,49 @@ class TestTableWidths:
         # The budget admits the class's narrow tables, not their widening.
         inst = self.two_paths(8_200)
         states = solve(inst).stats[0].states
-        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", states * solver._BYTES_PER_STATE)
+        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", states * 2)
         with pytest.raises(TooLargeError, match="the class to solve has"):
             solve(inst)
+
+
+class TestCellWidth:
+    """A cell holds -1 minus its state's options left, then a stamp below
+    the class's longest slice of predecessors: int16 while both fit, on a
+    board of any number of nodes, else int32.  Each board has 2^15 + 4
+    nodes or more."""
+
+    @staticmethod
+    def bytes_a_state(instance):
+        sol = solve(instance)
+        start = sol.stats[0]
+        return sol, sol._tables[start.key].code.nbytes // start.states
+
+    def test_a_path_past_2_15_nodes_keeps_2_bytes_a_state(self):
+        # One directed path, hub, the leaves, p, q, h: no node has more
+        # than one move.  The Cat starts 2^15 + 1 moves ahead of the Mouse,
+        # so its class holds 5 states and its plies stay far below 2^14;
+        # the Cat, stuck on h, loses.
+        leaves = tuple(f"v{k}" for k in range(2**15))
+        path = ("hub",) + leaves + ("p", "q", "h")
+        graph = Graph(directed=True, nodes=("hub", "h", "q", "p") + leaves,
+                      edges=tuple(zip(path, path[1:])))
+        inst = GameInstance(graph, "p", "hub", "h")
+        sol, width = self.bytes_a_state(inst)
+        assert (sol.outcome(), sol.dist(inst.initial_state())) == (Outcome.MOUSE_WIN, 4)
+        assert width == 2
+
+    @pytest.mark.parametrize("moves, width", [(2**15, 2), (2**15 + 1, 4)])
+    def test_moves_into_one_node_widen_the_cells_past_2_15(self, moves, width):
+        # The stamps of the sink's predecessors, one slice, run up to
+        # moves - 1.  The Cat steps off p; the Mouse, stuck on the sink,
+        # loses.
+        leaves = tuple(f"v{k}" for k in range(moves))
+        graph = Graph(directed=True, nodes=("sink", "h", "q", "p") + leaves,
+                      edges=tuple((v, "sink") for v in leaves) + (("p", "q"), ("q", "h")))
+        inst = GameInstance(graph, "p", "sink", "h")
+        sol, got = self.bytes_a_state(inst)
+        assert (sol.outcome(), sol.dist(inst.initial_state())) == (Outcome.CAT_WIN, 1)
+        assert got == width
 
 
 class TestPlayMatch:
@@ -609,7 +649,7 @@ class TestClassBudget:
                       edges=tuple(fan_edges(levels)))
         inst = GameInstance(graph, "c", "u0", "h")
         start = solve(inst).stats[0]
-        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", start.states * solver._BYTES_PER_STATE)
+        monkeypatch.setattr(solver, "_MAX_TABLE_BYTES", start.states * 2)
         sol = solve(inst)
         assert sol.outcome() is Outcome.MOUSE_WIN
         with pytest.raises(TooLargeError, match="the class to solve has"):

@@ -183,7 +183,20 @@ def renamed(graph, old, new):
     (lambda g, m: (dataclasses.replace(g, roles={
         **g.roles, "g0.esc.R.1": reduction.NodeRole(reduction.ROLE_GADGET, gate="g0", position=1, side="M")}), m),
      ["g0/R: g0.esc.R.1 has the wrong role"]),
-], ids=["hole-level", "edge-out-of-h", "unpaired", "renamed-escape", "escape-role"])
+    (lambda g, m: (dataclasses.replace(g, h=g.d, d=g.h), m),
+     ["hole has role dead-end, expected hole", "dead end has role hole, expected dead-end"]),
+    (lambda g, m: (dataclasses.replace(g, m="g0.C.1"), m),
+     ["mouse start is g0.C.1, expected g0.M.1"]),
+    (lambda g, m: (g, dataclasses.replace(
+        m, cat_of={**m.cat_of, "g0.M.2": "g0.C.3", "g0.M.3": "g0.C.2"})),
+     ["g0.M.2 is paired with g0.C.3, expected g0.C.2",
+      "g0.M.3 is paired with g0.C.2, expected g0.C.3"]),
+    (lambda g, m: (g, dataclasses.replace(
+        m, cat_of={**m.cat_of, "i0.M": "i1.C", "i1.M": "i0.C"})),
+     ["i0.M is paired with i1.C, expected i0.C", "i1.M is paired with i0.C, expected i1.C"]),
+], ids=["hole-level", "edge-out-of-h", "unpaired", "renamed-escape", "escape-role",
+        "hole-dead-end-swapped", "mouse-start-in-cat-copy", "gadget-partners-swapped",
+        "input-partners-swapped"])
 def test_each_edited_field_is_a_problem(edit, expected):
     # The true directed one-AND board audits clean; each edit of one of its
     # fields raises its own problem line.
